@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,6 +34,49 @@ from .topology import build_topology, find_leaves
 
 _TOP_KEYS = {"network", "inequality", "states", "strategy", "options", "host_network"}
 _OPTION_KEYS = {"seed", "restarts", "budget", "tol", "mode"}
+_MODES = ("exhaustive", "random")
+
+
+# ---------------------------------------------------------------------------
+# Parsing: every type conversion of a config value goes through these helpers,
+# so malformed input ends in ConfigError (exit 2), never in a traceback.
+# ---------------------------------------------------------------------------
+
+
+def _int(value, what: str, minimum: int | None = None) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {out}")
+    return out
+
+
+def _float(value, what: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _array(value, what: str) -> np.ndarray:
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an array of numbers, got {value!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{what} must have finite entries, got {value!r}")
+    return out
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
 
 
 def _require(config: dict, key: str):
@@ -64,9 +108,10 @@ def _load_config(path: str) -> dict:
 def _parse_topology(section) -> "NetworkTopology":
     if not isinstance(section, dict) or set(section) != {"parties", "sources"}:
         raise ConfigError("network section needs exactly {parties, sources}")
+    parties = _int(section["parties"], "network parties")
     try:
-        return build_topology(int(section["parties"]), section["sources"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return build_topology(parties, section["sources"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad network section: {exc}") from exc
 
 
@@ -76,9 +121,12 @@ def _parse_fcbi(spec):
     if spec == "ebi":
         return make_catalog(EBI)
     if isinstance(spec, dict) and set(spec) == {"chained"}:
-        return make_catalog(CHAINED, int(spec["chained"]))
+        return make_catalog(CHAINED, _int(spec["chained"], "chained length"))
     if isinstance(spec, dict) and set(spec) == {"custom"}:
-        return custom_matrix(spec["custom"])
+        entries = _array(spec["custom"], "custom fcbi")
+        if entries.ndim != 2 or entries.size == 0:
+            raise ConfigError("custom fcbi must be a non-empty matrix")
+        return custom_matrix(entries)
     raise ConfigError(f"unrecognized fcbi spec {spec!r}")
 
 
@@ -87,16 +135,17 @@ def _parse_inequality(config: dict, topology):
     if not isinstance(section, dict) or set(section) != {"k", "fcbi"}:
         raise ConfigError("inequality section needs exactly {k, fcbi}")
     fcbi_map = {
-        int(source): _parse_fcbi(spec) for source, spec in section["fcbi"].items()
+        _int(source, "fcbi source"): _parse_fcbi(spec)
+        for source, spec in _object(section["fcbi"], "fcbi").items()
     }
-    return build_inequality(topology, int(section["k"]), fcbi_map)
+    return build_inequality(topology, _int(section["k"], "k"), fcbi_map)
 
 
 def _complex_entry(value):
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_float(value, "matrix entry"))
     if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
+        return complex(_float(value[0], "matrix entry"), _float(value[1], "matrix entry"))
     raise ConfigError(f"matrix entries must be numbers or [re, im], got {value!r}")
 
 
@@ -109,29 +158,44 @@ def _parse_state(spec):
     if kind == "werner":
         return werner(
             WernerSpec(
-                v=float(spec.get("v", 1.0)),
-                schmidt_a=float(spec.get("schmidt_a", 1.0 / np.sqrt(2.0))),
+                v=_float(spec.get("v", 1.0), "werner v"),
+                schmidt_a=_float(spec.get("schmidt_a", 1.0 / np.sqrt(2.0)), "schmidt_a"),
             )
         )
     if kind == "pure":
-        return pure_schmidt(float(spec.get("schmidt_a", 1.0 / np.sqrt(2.0))))
+        return pure_schmidt(_float(spec.get("schmidt_a", 1.0 / np.sqrt(2.0)), "schmidt_a"))
     if kind == "classical_zz":
         return classical_zz()
     if kind == "product_00":
         return product_00()
     if kind == "matrix":
         rows = spec.get("matrix")
-        matrix = np.array([[_complex_entry(v) for v in row] for row in rows])
-        return bloch_decompose(matrix)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ConfigError("a matrix state needs a list of rows")
+        entries = [[_complex_entry(v) for v in row] for row in rows]
+        if len({len(row) for row in entries}) > 1:
+            raise ConfigError("matrix rows must have equal length")
+        return bloch_decompose(np.array(entries, dtype=complex))
     raise ConfigError(f"unknown state type {kind!r}")
 
 
-def _parse_states(config: dict, topology) -> dict:
-    section = _require(config, "states")
-    states = {int(s): _parse_state(spec) for s, spec in section.items()}
-    missing = set(range(1, topology.n_sources + 1)) - set(states)
-    if missing:
+def _parse_states(config: dict, topology, default=None) -> dict:
+    """States keyed by source index. A source without an entry gets
+    default(), or is an error when no default is given."""
+    section = config.get("states", {}) if default else _require(config, "states")
+    states = {
+        _int(s, "state source"): _parse_state(spec)
+        for s, spec in _object(section, "states").items()
+    }
+    sources = set(range(1, topology.n_sources + 1))
+    unknown = set(states) - sources
+    if unknown:
+        raise ConfigError(f"states given for sources that do not exist: {sorted(unknown)}")
+    missing = sources - set(states)
+    if missing and default is None:
         raise ConfigError(f"states missing for sources {sorted(missing)}")
+    for s in sorted(missing):
+        states[s] = default()
     return states
 
 
@@ -144,10 +208,15 @@ def _parse_strategy(config: dict):
     strategy = MeasurementStrategy()
     try:
         for party, inputs in section.items():
-            for inp, sources in inputs.items():
-                for source, vec in sources.items():
-                    strategy.set(int(party), int(inp), int(source), vec)
-    except (TypeError, ValueError) as exc:
+            for inp, sources in _object(inputs, "strategy inputs").items():
+                for source, vec in _object(sources, "strategy sources").items():
+                    strategy.set(
+                        _int(party, "strategy party"),
+                        _int(inp, "strategy input"),
+                        _int(source, "strategy source"),
+                        _array(vec, "Bloch vector"),
+                    )
+    except ValueError as exc:
         raise ConfigError(f"bad strategy entry: {exc}") from exc
     return strategy
 
@@ -160,10 +229,12 @@ def _options(config: dict, args) -> dict:
         value = getattr(args, name, None)
         if value is not None:
             opts[name] = value
-    opts["seed"] = int(opts["seed"])
-    opts["restarts"] = int(opts["restarts"])
-    opts["budget"] = int(opts["budget"])
-    opts["tol"] = float(opts["tol"])
+    opts["seed"] = _int(opts["seed"], "seed", minimum=0)
+    opts["restarts"] = _int(opts["restarts"], "restarts", minimum=1)
+    opts["budget"] = _int(opts["budget"], "budget", minimum=0)
+    opts["tol"] = _float(opts["tol"], "tol")
+    if opts["mode"] not in _MODES:
+        raise ConfigError(f"mode must be one of {list(_MODES)}, got {opts['mode']!r}")
     return opts
 
 
@@ -203,7 +274,7 @@ def _search_dict(rep: optimizer.SearchReport) -> dict:
     else:
         config = {}
     out = {
-        "best_value": _sig(rep.best_value),
+        "best_value": None if rep.best_value is None else _sig(rep.best_value),
         "restarts_used": rep.restarts_used,
         "seed": rep.seed,
         "converged": rep.converged,
@@ -343,12 +414,7 @@ def cmd_discriminate(config, args, opts):
     topology = _parse_topology(_require(config, "network"))
     host = _parse_topology(_require(config, "host_network"))
     ineq = _parse_inequality(config, topology)
-    states = {}
-    if "states" in config:
-        section = config["states"]
-        states = {int(s): _parse_state(spec) for s, spec in section.items()}
-    for s in range(1, host.n_sources + 1):
-        states.setdefault(s, max_entangled())
+    states = _parse_states(config, host, default=max_entangled)
     rep = optimizer.discriminate(
         ineq, host, states,
         restarts=opts["restarts"], seed=opts["seed"], tol=opts["tol"],
@@ -401,7 +467,11 @@ def _emit(payload: dict, args) -> None:
             buf.write(f"{_sig(v)},{_sig(bound)},{_sig(classical)}\n")
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise ConfigError("the report holds a non-finite number; "
+                              "check the magnitudes in the config") from None
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -421,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--mode", choices=["exhaustive", "random"], default=None)
+        p.add_argument("--mode", choices=_MODES, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None)
@@ -433,7 +503,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         opts = _options(config, args)
-        payload = _COMMANDS[args.command](config, args, opts)
+        _emit(_COMMANDS[args.command](config, args, opts), args)
     except NonConvergenceError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
@@ -444,7 +514,6 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
-    _emit(payload, args)
     return 0
 
 

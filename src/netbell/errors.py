@@ -109,6 +109,10 @@ class TooLargeForExhaustiveError(SearchError):
     pass
 
 
+class BadRestartsError(SearchError):
+    """A see-saw search was asked for fewer than one restart."""
+
+
 class PartyCountMismatchError(SearchError):
     pass
 

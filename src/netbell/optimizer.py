@@ -1,11 +1,23 @@
 """Search machinery: network see-saw, local-hidden-variable oracle, and
 topology discrimination.
 
-The see-saw is a coordinate ascent over all Bloch-vector slots. Slots whose
+The network objective is one tensor-network contraction. Each host source s
+holds a factor matrix F_s = U_a T_s U_b^T, with one row of Bloch vectors per
+input of each endpoint. Every target leaf gets its own einsum index, summed
+against its weights M_leaf[:, j]; every intermediate party's input is the
+column index j. So all k column correlators I_j come from one np.einsum.
+
+The see-saw is a coordinate ascent over all Bloch-vector slots. I_j is
+affine in one slot's vector, I_j = c_j + g_j . n, and (c, g) come from the
+environment of F_s: the same contraction with F_s left out. Slots whose
 input is only used in a single column admit an exact closed-form update
 (the objective is linear in them); leaf slots enter every column and are
-polished by projected gradient on the sphere. Restarts use sub-seeds
-derived from the master seed, so results do not depend on execution order.
+polished by projected gradient on the sphere. After a slot update only F_s
+is recomputed. Restarts use sub-seeds derived from the master seed, so
+results do not depend on execution order.
+
+The exhaustive oracle enumerates the deterministic leaf response tables;
+intermediate parties answer +1, since their sign cannot change |I_j|.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import numpy as np
 
 from .builder import NetworkInequality
 from .errors import (
+    BadRestartsError,
     PartyCountMismatchError,
     TooFewLeavesError,
     TooLargeForExhaustiveError,
@@ -39,7 +52,7 @@ NOT_FOUND = "NOT_FOUND"
 class SearchReport:
     """Outcome of a randomized search."""
 
-    best_value: float
+    best_value: float | None  # None when the search drew nothing (zero budget)
     best_config: object
     restarts_used: int
     seed: int
@@ -68,10 +81,15 @@ def _normalize(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Raw-strategy representation used inside the searches: a dict mapping
-# (party, input, source) -> unnormalized 3-vector. Zero vectors are legal
-# intermediates during affine-coefficient extraction.
+# The contraction engine. A strategy is held as one (inputs, 3) array of Bloch
+# rows per source endpoint: vecs[i] = [U_a, U_b] for host source i + 1 with
+# endpoints (a, b), and each source enters as its factor F_i = U_a T_i U_b^T.
+# _to_strategy normalizes the rows and maps a zero row to sigma_z.
 # ---------------------------------------------------------------------------
+
+# einsum index of each target leaf; "j" is the column index that every
+# intermediate party's input is tied to.
+_LEAF_INDICES = "abcdefghiklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _to_strategy(raw: dict) -> MeasurementStrategy:
@@ -89,6 +107,10 @@ class _CrossObjective:
     The target supplies the leaf set, Delta coefficients, column count, and
     exponent 1/l; the host supplies the sources, states, and slot layout.
     When host and target coincide this is the plain network objective.
+
+    A source joining two intermediates only enters through its diagonal
+    F_i[j, j]; the product of those diagonals is a single einsum operand, so
+    the operand count grows with the leaf-side sources only.
     """
 
     def __init__(
@@ -101,94 +123,144 @@ class _CrossObjective:
             raise PartyCountMismatchError(
                 "host and target networks must have the same party count"
             )
-        self.target = target
-        self.host = host
-        self.states = states
+        if target.l > len(_LEAF_INDICES):
+            raise TooLargeForExhaustiveError(
+                f"{target.l} leaves exceed the {len(_LEAF_INDICES)} einsum indices"
+            )
         self.k = target.k
         self.l = target.l
-        self.leaf_list = [int(p) for p in target.leaves.leaf_set]
-        self.matrices = [target.leaf_fcbi(p) for p in self.leaf_list]
-        self.intermediate = [int(p) for p in target.leaves.intermediate_set]
-        self.corrs = {
-            s: states[s].corr for s in range(1, host.n_sources + 1)
-        }
+        self.intermediate = {int(p) for p in target.leaves.intermediate_set}
+        index = dict.fromkeys(self.intermediate, "j")
         # Input count per party in the host strategy space.
-        self.input_counts = {p: self.k for p in self.intermediate}
-        for p, m in zip(self.leaf_list, self.matrices):
-            self.input_counts[p] = m.rows
-        # Per-column expansion: list of (coefficient, input dict).
-        self.columns = []
-        for j in range(1, self.k + 1):
-            terms = []
-            shape = [m.rows for m in self.matrices]
-            for combo in np.ndindex(*shape):
-                coeff = 1.0
-                x = {p: j for p in self.intermediate}
-                for leaf, m, c in zip(self.leaf_list, self.matrices, combo):
-                    coeff *= m.entries[c, j - 1]
-                    x[leaf] = c + 1
-                if coeff != 0.0:
-                    terms.append((coeff, x))
-            self.columns.append(terms)
+        self.input_counts = dict.fromkeys(self.intermediate, self.k)
+        self.weights = []
+        weight_subs = []
+        for p, letter in zip(target.leaves.leaf_set, _LEAF_INDICES):
+            m = target.leaf_fcbi(int(p)).entries
+            index[int(p)] = letter
+            self.input_counts[int(p)] = m.shape[0]
+            self.weights.append(m)
+            weight_subs.append(letter + "j")
 
-    def slot_keys(self) -> list[tuple[int, int, int]]:
-        keys = []
-        for p in range(1, self.host.n_parties + 1):
-            for inp in range(1, self.input_counts[p] + 1):
-                for s in self.host.incident_sources(p):
-                    keys.append((p, inp, s))
-        return keys
+        sources = range(1, host.n_sources + 1)
+        self.ends = [host.endpoints(s) for s in sources]
+        self.corrs = [states[s].corr for s in sources]
+        self.inner, self.outer = [], []
+        for i, (a, b) in enumerate(self.ends):
+            both = a in self.intermediate and b in self.intermediate
+            (self.inner if both else self.outer).append(i)
+        subs = [index[a] + index[b] for a, b in self.ends]
+        self._value_spec = ",".join(
+            ["j"] + [subs[i] for i in self.outer] + weight_subs
+        ) + "->j"
 
-    def random_raw(self, rng) -> dict:
+        # Environment of F_i: the same contraction with F_i left out, expanded
+        # to G_i[x_a, x_b, j] = dI_j / dF_i[x_a, x_b]. An intermediate endpoint
+        # has input j in column j, hence the delta(x, j) mask.
+        eye = np.eye(self.k)
+        self._env_specs, self._env_shapes, self._env_masks = [], [], []
+        for i, (a, b) in enumerate(self.ends):
+            kept = [subs[t] for t in self.outer if t != i]
+            out = "".join(index[p] for p in (a, b) if p not in self.intermediate)
+            self._env_specs.append(",".join(["j"] + kept + weight_subs) + "->" + out + "j")
+            shape, mask = [], np.ones((self.input_counts[a], self.input_counts[b], self.k))
+            for axis, p in enumerate((a, b)):
+                if p in self.intermediate:
+                    shape.append(1)
+                    mask *= np.expand_dims(eye, 1 - axis)
+                else:
+                    shape.append(self.input_counts[p])
+            self._env_shapes.append((*shape, self.k))
+            self._env_masks.append(mask)
+
+        # Slot order: party, then input, then incident source.
+        self.slots = [
+            (p, inp, s)
+            for p in range(1, host.n_parties + 1)
+            for inp in range(1, self.input_counts[p] + 1)
+            for s in host.incident_sources(p)
+        ]
+
+    def _side(self, party: int, i: int) -> int:
+        return 0 if self.ends[i][0] == party else 1
+
+    def vectors(self, row) -> list[list[np.ndarray]]:
+        """Endpoint arrays with row(party, input, source) filled in slot order."""
+        vecs = [
+            [np.zeros((self.input_counts[a], 3)), np.zeros((self.input_counts[b], 3))]
+            for a, b in self.ends
+        ]
+        for party, inp, s in self.slots:
+            vecs[s - 1][self._side(party, s - 1)][inp - 1] = row(party, inp, s)
+        return vecs
+
+    def raw_slots(self, vecs) -> dict:
         return {
-            key: _normalize(rng.normal(size=3)) for key in self.slot_keys()
+            (party, inp, s): vecs[s - 1][self._side(party, s - 1)][inp - 1]
+            for party, inp, s in self.slots
         }
 
-    def _term_value(self, raw: dict, x: dict, skip_source: int | None = None) -> float:
-        value = 1.0
-        for s in range(1, self.host.n_sources + 1):
-            if s == skip_source:
-                continue
-            a, b = self.host.endpoints(s)
-            value *= float(raw[(a, x[a], s)] @ self.corrs[s] @ raw[(b, x[b], s)])
-        return value
+    def factor(self, vecs, i: int) -> np.ndarray:
+        a_rows, b_rows = vecs[i]
+        return a_rows @ self.corrs[i] @ b_rows.T
 
-    def column_value(self, raw: dict, j: int) -> float:
-        return sum(
-            coeff * self._term_value(raw, x) for coeff, x in self.columns[j - 1]
+    def factors(self, vecs) -> list[np.ndarray]:
+        return [self.factor(vecs, i) for i in range(len(self.ends))]
+
+    def _diagonals(self, factors, skip: int | None = None) -> np.ndarray:
+        d = np.ones(self.k)
+        for i in self.inner:
+            if i != skip:
+                d = d * np.diagonal(factors[i])
+        return d
+
+    def columns(self, factors) -> np.ndarray:
+        """All k column correlators I_j."""
+        return np.einsum(
+            self._value_spec,
+            self._diagonals(factors),
+            *[factors[i] for i in self.outer],
+            *self.weights,
         )
 
-    def value(self, raw: dict) -> float:
-        return float(
-            sum(
-                abs(self.column_value(raw, j)) ** (1.0 / self.l)
-                for j in range(1, self.k + 1)
-            )
+    def value(self, factors) -> float:
+        return float(np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l)))
+
+    def environment(self, factors, i: int) -> np.ndarray:
+        """G_i with shape (inputs of a, inputs of b, k); it does not depend on F_i."""
+        env = np.einsum(
+            self._env_specs[i],
+            self._diagonals(factors, skip=i),
+            *[factors[t] for t in self.outer if t != i],
+            *self.weights,
         )
+        return env.reshape(self._env_shapes[i]) * self._env_masks[i]
 
     def affected_columns(self, party: int, inp: int) -> list[int]:
+        """0-based columns whose correlator depends on the party's input."""
         if party in self.intermediate:
-            return [inp] if inp <= self.k else []
-        return list(range(1, self.k + 1))
+            return [inp - 1]
+        return list(range(self.k))
 
     def affine_coeffs(
-        self, raw: dict, slot: tuple[int, int, int], j: int
-    ) -> tuple[float, np.ndarray]:
-        """I_j as c + g . n for the given slot vector n."""
+        self, factors, vecs, env: np.ndarray, slot: tuple[int, int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """I_j = c_j + g_j . n for every column j, with n the slot's vector.
+
+        c_j sums the entries of F_i * G_i whose input at the slot's party is
+        not the slot's input; g_j contracts the remaining environment row
+        with T_i and the other endpoint's vectors.
+        """
         party, inp, source = slot
-        c = 0.0
-        g = np.zeros(3)
-        corr = self.corrs[source]
-        a, b = self.host.endpoints(source)
-        for coeff, x in self.columns[j - 1]:
-            if x[party] != inp:
-                c += coeff * self._term_value(raw, x)
-                continue
-            rest = coeff * self._term_value(raw, x, skip_source=source)
-            if party == a:
-                g += rest * (corr @ raw[(b, x[b], source)])
-            else:
-                g += rest * (corr.T @ raw[(a, x[a], source)])
+        i = source - 1
+        corr = self.corrs[i]
+        if self._side(party, i) == 0:
+            f, other = factors[i], vecs[i][1] @ corr.T
+        else:
+            f, env, other = factors[i].T, env.transpose(1, 0, 2), vecs[i][0] @ corr
+        rows = np.einsum("po,poj->pj", f, env)
+        c = np.delete(rows, inp - 1, axis=0).sum(axis=0)
+        g = env[inp - 1].T @ other
         return c, g
 
 
@@ -235,53 +307,58 @@ def _max_abs_powersum(
 
 
 def _seesaw_once(obj: _CrossObjective, rng, sweeps: int = 120, tol: float = 1e-11):
-    raw = obj.random_raw(rng)
-    value = obj.value(raw)
+    vecs = obj.vectors(lambda *slot: _normalize(rng.normal(size=3)))
+    factors = obj.factors(vecs)
+    value = obj.value(factors)
     converged = False
+    # Updating a slot of source i changes F_i only, so G_i stays valid until
+    # a slot of another source is visited.
+    env_source, env = None, None
     for _ in range(sweeps):
-        for slot in obj.slot_keys():
-            party, inp, _ = slot
+        for slot in obj.slots:
+            party, inp, source = slot
+            i = source - 1
+            if i != env_source:
+                env_source, env = i, obj.environment(factors, i)
             cols = obj.affected_columns(party, inp)
-            if not cols:
-                continue
+            cs, gs = obj.affine_coeffs(factors, vecs, env, slot)
+            rows = vecs[i][obj._side(party, i)]
             if len(cols) == 1:
-                c, g = obj.affine_coeffs(raw, slot, cols[0])
+                c, g = cs[cols[0]], gs[cols[0]]
                 norm = np.linalg.norm(g)
                 if norm > 1e-14:
-                    raw[slot] = np.sign(c) * g / norm if c != 0.0 else g / norm
+                    rows[inp - 1] = np.sign(c) * g / norm if c != 0.0 else g / norm
             else:
-                cs, gs = [], []
-                for j in cols:
-                    c, g = obj.affine_coeffs(raw, slot, j)
-                    cs.append(c)
-                    gs.append(g)
-                raw[slot] = _max_abs_powersum(
-                    np.array(cs), np.array(gs), obj.l, raw[slot]
+                rows[inp - 1] = _max_abs_powersum(
+                    cs[cols], gs[cols], obj.l, rows[inp - 1]
                 )
-        new_value = obj.value(raw)
+            factors[i] = obj.factor(vecs, i)
+        new_value = obj.value(factors)
         if new_value - value < tol:
             value = max(value, new_value)
             converged = True
             break
         value = new_value
-    return value, raw, converged
+    return value, vecs, converged
 
 
 def _run_restarts(obj: _CrossObjective, restarts: int, seed: int) -> SearchReport:
+    if restarts < 1:
+        raise BadRestartsError(f"restarts must be at least 1, got {restarts}")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best_value, best_raw = -np.inf, None
+    best_value, best_vecs = -np.inf, None
     history = []
     any_converged = False
     for child in seeds:
         rng = np.random.default_rng(child)
-        value, raw, conv = _seesaw_once(obj, rng)
+        value, vecs, conv = _seesaw_once(obj, rng)
         history.append(value)
         any_converged = any_converged or conv
         if value > best_value:
-            best_value, best_raw = value, raw
+            best_value, best_vecs = value, vecs
     return SearchReport(
         best_value=best_value,
-        best_config=_to_strategy(best_raw),
+        best_config=_to_strategy(obj.raw_slots(best_vecs)),
         restarts_used=restarts,
         seed=seed,
         converged=any_converged,
@@ -347,8 +424,7 @@ def cross_evaluate(
 ) -> float:
     """Evaluate the target S for an explicit strategy on the host network."""
     obj = _CrossObjective(ineq_target, topology_source, states)
-    raw = {key: strategy.bloch(*key) for key in obj.slot_keys()}
-    return obj.value(raw)
+    return obj.value(obj.factors(obj.vectors(strategy.bloch)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,40 +469,34 @@ def classical_oracle(
 
 
 def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
+    # An intermediate party's +/-1 output only flips the sign of I_j, which
+    # |I_j| ignores, so intermediates stay at +1 and only the leaf tables are
+    # enumerated. In the full enumeration the first maximum has every
+    # intermediate at +1 too, so the reported model is the same.
     parties, counts = _party_layout(ineq)
-    total_bits = sum(counts.values())
-    if total_bits > EXHAUSTIVE_CAP_BITS:
+    leaves = [int(p) for p in ineq.leaves.leaf_set]
+    leaf_bits = sum(counts[p] for p in leaves)
+    if leaf_bits > EXHAUSTIVE_CAP_BITS:
         raise TooLargeForExhaustiveError(
-            f"2^{total_bits} deterministic assignments exceed the cap"
+            f"2^{leaf_bits} deterministic leaf assignments exceed the cap"
         )
-    leaf_set = {int(p) for p in ineq.leaves.leaf_set}
-    # Per-party contribution table, one row per deterministic assignment:
-    # leaves contribute their Delta row, intermediates their chosen signs.
-    tables = []
-    for p in parties:
-        signs = _sign_table(counts[p])
-        if p in leaf_set:
-            tables.append(signs @ ineq.leaf_fcbi(p).entries)  # (2^r, k)
-        else:
-            tables.append(signs[:, :ineq.k])
+    # One row per deterministic leaf assignment; each leaf contributes its
+    # Delta row.
     prod = np.ones((1, ineq.k))
-    for table in tables:
+    for p in leaves:
+        table = _sign_table(counts[p]) @ ineq.leaf_fcbi(p).entries  # (2^r, k)
         prod = (prod[:, None, :] * table[None, :, :]).reshape(-1, ineq.k)
-    s_values = np.abs(prod) ** (1.0 / ineq.l)
-    s_all = s_values.sum(axis=1)
+    s_all = (np.abs(prod) ** (1.0 / ineq.l)).sum(axis=1)
     best_idx = int(np.argmax(s_all))
 
-    # Decode the flat index back into per-party assignments.
-    sizes = [2 ** counts[p] for p in parties]
-    codes = []
-    rem = best_idx
-    for size in reversed(sizes):
-        codes.append(rem % size)
-        rem //= size
-    codes.reverse()
+    codes = np.unravel_index(best_idx, [2 ** counts[p] for p in leaves])
+    leaf_code = dict(zip(leaves, codes))
     responses = {}
-    for p, code in zip(parties, codes):
-        signs = _sign_table(counts[p])[code]
+    for p in parties:
+        if p in leaf_code:
+            signs = _sign_table(counts[p])[leaf_code[p]]
+        else:
+            signs = np.ones(counts[p])
         responses[p] = signs[:, None].astype(float)
     model = LocalModel(
         cardinalities={s: 1 for s in range(1, ineq.topology.n_sources + 1)},
@@ -541,12 +611,13 @@ def _oracle_random(
                 responses={p: responses[p][idx] for p in parties},
             )
         done += n
+    # A zero budget draws no model, so there is no value to report.
     return SearchReport(
-        best_value=best_value,
+        best_value=best_value if best_model is not None else None,
         best_config=best_model,
         restarts_used=budget,
         seed=seed,
-        converged=True,
+        converged=best_model is not None,
     )
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell import cli
 from netbell.errors import NonConvergenceError
@@ -188,3 +193,137 @@ def test_output_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert json.loads(target.read_text())["l"] == 3
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _bilocal(edit):
+    config = json.loads((CONFIG_DIR / "bilocal_chain.json").read_text())
+    edit(config)
+    return config
+
+
+MALFORMED = {
+    "fcbi_list": ("build", lambda c: c["inequality"].update(fcbi=["chsh", "chsh"])),
+    "k_string": ("build", lambda c: c["inequality"].update(k="x")),
+    "werner_v_string": ("bounds", lambda c: c["states"]["1"].update(v="hi")),
+    "custom_entry_string": ("build", lambda c: c["inequality"]["fcbi"].update(
+        {"1": {"custom": [[0.5, 0.5], [0.5, "a"]]}})),
+    "restarts_zero": ("optimize", lambda c: c["options"].update(restarts=0)),
+    "seed_negative": ("optimize", lambda c: c["options"].update(seed=-1)),
+    "mode_unknown": ("oracle", lambda c: c["options"].update(mode="annealing")),
+    "state_unknown_source": ("bounds", lambda c: c["states"].update({"3": {"type": "max_entangled"}})),
+    "matrix_nan": ("bounds", lambda c: c["states"].update({"1": {
+        "type": "matrix", "matrix": [[float("nan")] * 4] * 4}})),
+}
+
+
+@pytest.mark.parametrize("name", [*MALFORMED, "random_budget_zero"])
+def test_contract_faults(name, tmp_path):
+    """Malformed configs exit 2 with one JSON line on stderr; a zero random
+    budget reports no value in strict JSON."""
+    if name == "random_budget_zero":
+        proc = run_cli("oracle", f"{CONFIG_DIR}/bilocal_chain.json",
+                       "--mode", "random", "--budget", "0")
+        assert proc.returncode == 0, proc.stderr
+        out = strict_json(proc.stdout)
+        assert out["best_value"] is None
+        assert out["converged"] is False
+        return
+    command, edit = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_bilocal(edit)))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0])["error"] == "ConfigError"
+    assert proc.stdout == ""
+
+
+_BASES = [
+    ("bilocal_chain.json", ["analyze", "build", "eval", "bounds", "oracle", "optimize"]),
+    ("discriminate_tree_vs_chain.json", ["discriminate"]),
+    ("six_party_asymmetric.json", ["build", "oracle", "visibility"]),
+]
+
+_KEYS = st.sampled_from(["1", "2", "3", "k", "v", "type", "chained", "custom", "matrix", "x"])
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=8),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["chsh", "ebi", "x", "", "max_entangled", "werner", "matrix", "random"]),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_KEYS, children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated_run(draw):
+    """A shipped config with one node replaced, deleted or added, and a
+    command that reads it."""
+    name, commands = draw(st.sampled_from(_BASES))
+    config = json.loads((CONFIG_DIR / name).read_text())
+    if name == "bilocal_chain.json" and draw(st.booleans()):
+        s = 1 / np.sqrt(2)
+        config["strategy"] = {
+            "1": {"1": {"1": [0, 0, 1]}, "2": {"1": [1, 0, 0]}},
+            "2": {"1": {"1": [-s, 0, s], "2": [-s, 0, s]},
+                  "2": {"1": [s, 0, s], "2": [s, 0, s]}},
+            "3": {"1": {"2": [0, 0, 1]}, "2": {"2": [1, 0, 0]}},
+        }
+    node = config
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = draw(_VALUES)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(_KEYS)] = draw(_VALUES)
+        else:
+            node.append(draw(_VALUES))
+        break
+    return draw(st.sampled_from(commands)), config
+
+
+@given(run=_mutated_run())
+@settings(max_examples=80, deadline=None)
+def test_mutated_configs_keep_the_contract(run, tmp_path_factory):
+    """Exit code in {0, 2, 3}, at most one JSON line on stderr, strict JSON
+    on stdout."""
+    command, config = run
+    path = tmp_path_factory.mktemp("mutated") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), "--restarts", "2", "--budget", "50"])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1
+    for line in lines:
+        assert "error" in strict_json(line)
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        strict_json(out.getvalue())

@@ -1,21 +1,30 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbell.builder import build_inequality
 from netbell.errors import (
+    BadRestartsError,
     PartyCountMismatchError,
     TooFewLeavesError,
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
-from netbell.fcbi import CHAINED, CHSH, make_catalog
+from netbell.evaluator import MeasurementStrategy, correlator
+from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog
 from netbell.networks import (
     chain5_strategy_for_tree5,
     chain_topology,
     chsh_inequality,
+    six_party_topology,
+    tree5_topology,
 )
 from netbell.optimizer import (
     BOUNDARY,
+    _CrossObjective,
     classical_oracle,
     cross_evaluate,
     discriminate,
@@ -24,8 +33,8 @@ from netbell.optimizer import (
     uniform_visibility_threshold,
     visibility_window,
 )
-from netbell.qstate import WernerSpec, max_entangled, werner
-from netbell.topology import build_topology
+from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
+from netbell.topology import build_topology, find_leaves
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +139,158 @@ def test_visibility_window_needs_leaves(tree5):
 def test_uniform_threshold_values():
     assert uniform_visibility_threshold(2, 2) == pytest.approx(1 / np.sqrt(2))
     assert uniform_visibility_threshold(3, 4) == pytest.approx(2.0 ** -0.375)
+
+
+# -- contraction engine -------------------------------------------------------
+
+
+def _asymmetric():
+    return build_inequality(
+        six_party_topology(),
+        4,
+        {1: make_catalog(EBI), 3: make_catalog(EBI), 5: make_catalog(CHAINED, 4)},
+    )
+
+
+def _random_strategy(ineq, host, rng):
+    """Random unit Bloch vectors on every slot of the host network."""
+    counts = {int(p): ineq.k for p in ineq.leaves.intermediate_set}
+    counts.update({int(p): ineq.leaf_fcbi(int(p)).rows for p in ineq.leaves.leaf_set})
+    strategy = MeasurementStrategy()
+    for p in range(1, host.n_parties + 1):
+        for x in range(1, counts[p] + 1):
+            for s in host.incident_sources(p):
+                strategy.set(p, x, s, rng.normal(size=3))
+    return strategy
+
+
+def _reference_S(ineq, host, states, strategy):
+    """Sum of host correlators over the Delta-weighted leaf inputs, per column."""
+    leaves = [int(p) for p in ineq.leaves.leaf_set]
+    matrices = [ineq.leaf_fcbi(p).entries for p in leaves]
+    total = 0.0
+    for j in range(ineq.k):
+        column = 0.0
+        for combo in product(*[range(m.shape[0]) for m in matrices]):
+            x = {int(p): j + 1 for p in ineq.leaves.intermediate_set}
+            coeff = 1.0
+            for leaf, m, c in zip(leaves, matrices, combo):
+                coeff *= m[c, j]
+                x[leaf] = c + 1
+            column += coeff * correlator(host, states, strategy, x)
+        total += abs(column) ** (1.0 / ineq.l)
+    return total
+
+
+def _case(name):
+    if name == "tree5_on_chain5":
+        return chsh_inequality(tree5_topology()), chain_topology(5)
+    ineq = _asymmetric()
+    return ineq, ineq.topology
+
+
+@pytest.mark.parametrize("name", ["tree5_on_chain5", "six_party_asymmetric"])
+def test_cross_evaluate_matches_correlator_sum(name):
+    """Source 4 of the chain5 host joins the tree leaves 4 and 5."""
+    ineq, host = _case(name)
+    rng = np.random.default_rng(3)
+    states = {s: random_mixed(10 + s) for s in range(1, host.n_sources + 1)}
+    for _ in range(3):
+        strategy = _random_strategy(ineq, host, rng)
+        assert cross_evaluate(ineq, host, states, strategy) == pytest.approx(
+            _reference_S(ineq, host, states, strategy), abs=1e-12
+        )
+
+
+def _random_tree(n, rng):
+    return [(int(rng.integers(1, i)), i) for i in range(2, n + 1)]
+
+
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=25, deadline=None)
+def test_cross_evaluate_random_trees(n, k, host_cycle, seed):
+    """Random target tree and random host on the same parties; the host may
+    close one cycle."""
+    rng = np.random.default_rng(seed)
+    target = build_topology(n, _random_tree(n, rng))
+    catalog = {2: [make_catalog(CHSH)], 3: [make_catalog(CHAINED, 3)],
+               4: [make_catalog(EBI), make_catalog(CHAINED, 4)]}[k]
+    peripheral = sorted(find_leaves(target).peripheral_set)
+    ineq = build_inequality(
+        target, k, {s: catalog[int(rng.integers(len(catalog)))] for s in peripheral}
+    )
+    host_edges = _random_tree(n, rng)
+    missing = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+               if (a, b) not in host_edges and (b, a) not in host_edges]
+    if host_cycle:
+        host_edges.append(missing[int(rng.integers(len(missing)))])
+    host = build_topology(n, host_edges)
+    states = {s: random_mixed(int(rng.integers(1000))) for s in range(1, host.n_sources + 1)}
+    strategy = _random_strategy(ineq, host, rng)
+    assert cross_evaluate(ineq, host, states, strategy) == pytest.approx(
+        _reference_S(ineq, host, states, strategy), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("name", ["tree5_on_chain5", "six_party_asymmetric"])
+def test_affine_coeffs_reproduce_columns(name):
+    """For every slot, I_j = c_j + g_j . n on each affected column j."""
+    ineq, host = _case(name)
+    rng = np.random.default_rng(5)
+    states = {s: random_mixed(20 + s) for s in range(1, host.n_sources + 1)}
+    obj = _CrossObjective(ineq, host, states)
+    vecs = obj.vectors(lambda *slot: rng.normal(size=3))
+    for slot in obj.slots:
+        party, inp, source = slot
+        i = source - 1
+        factors = obj.factors(vecs)
+        cs, gs = obj.affine_coeffs(factors, vecs, obj.environment(factors, i), slot)
+        for _ in range(2):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            vecs[i][obj._side(party, i)][inp - 1] = n
+            columns = obj.columns(obj.factors(vecs))
+            cols = obj.affected_columns(party, inp)
+            np.testing.assert_allclose(cs[cols] + gs[cols] @ n, columns[cols], atol=1e-12)
+
+
+def test_oracle_exhaustive_asymmetric():
+    """Leaf-only enumeration: 2^(3+3+4) rows, intermediates answer +1."""
+    ineq = _asymmetric()
+    rep = classical_oracle(ineq, mode="exhaustive")
+    assert rep.best_value == pytest.approx(4.080083823052, abs=1e-12)
+    assert rep.restarts_used == 2**10
+    assert evaluate_local_model(ineq, rep.best_config) == pytest.approx(
+        rep.best_value, abs=1e-12
+    )
+    for p in ineq.leaves.intermediate_set:
+        assert np.all(rep.best_config.responses[int(p)] == 1.0)
+
+
+def test_search_refuses_zero_restarts(bilocal, tree5):
+    states = {1: max_entangled(), 2: max_entangled()}
+    with pytest.raises(BadRestartsError):
+        seesaw_network(bilocal, states, restarts=0)
+    tree_states = {s: max_entangled() for s in range(1, 5)}
+    with pytest.raises(BadRestartsError):
+        discriminate(chsh_inequality(tree5), tree5, tree_states, restarts=0)
+
+
+def test_oracle_random_zero_budget(bilocal):
+    rep = classical_oracle(bilocal, mode="random", budget=0)
+    assert rep.best_value is None
+    assert rep.best_config is None
+    assert not rep.converged
+
+
+def test_contraction_leaf_cap():
+    """Each leaf needs its own einsum index; a 52-leaf star has too many."""
+    star = build_topology(53, [(1, p) for p in range(2, 54)])
+    states = {s: max_entangled() for s in range(1, 53)}
+    with pytest.raises(TooLargeForExhaustiveError):
+        seesaw_network(chsh_inequality(star), states, restarts=1)
