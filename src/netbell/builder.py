@@ -130,18 +130,6 @@ def build_inequality(
     )
 
 
-def classical_bound_network(ineq: NetworkInequality) -> float:
-    """Recompute the classical bound from the stored FCBIs (audit path)."""
-    betas = [m.classical_bound for _, m in sorted(ineq.fcbi_map.items())]
-    return _geomean(betas, ineq.l)
-
-
-def quantum_bound_network(ineq: NetworkInequality) -> float:
-    """Recompute the quantum bound from the stored FCBIs (audit path)."""
-    opts = [m.quantum_opt for _, m in sorted(ineq.fcbi_map.items())]
-    return _geomean(opts, ineq.l)
-
-
 def mixed_state_bound(
     ineq: NetworkInequality,
     states: dict[int, TwoQubitState],

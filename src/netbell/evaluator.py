@@ -17,7 +17,7 @@ import numpy as np
 from .builder import NetworkInequality
 from .errors import IncompleteStrategyError, UnsupportedFcbiError
 from .fcbi import CHAINED, CHSH, EBI
-from .qstate import IDENTITY2, TwoQubitState, bloch_matrix
+from .qstate import TwoQubitState, bloch_matrix
 from .topology import NetworkTopology
 
 
@@ -82,8 +82,9 @@ class MeasurementStrategy:
 
     def validate(self, topology: NetworkTopology, input_counts: dict[int, int]) -> None:
         """Check every (party, input, incident source) slot is present."""
+        joint_parties = {party for party, _ in self.joint_observables}
         for party in range(1, topology.n_parties + 1):
-            if any(key[0] == party for key in self.joint_observables):
+            if party in joint_parties:
                 continue
             for inp in range(1, input_counts[party] + 1):
                 for source in topology.incident_sources(party):
@@ -333,8 +334,7 @@ def optimal_strategy(
         a, b = ineq.topology.endpoints(source)
         partner = b if a == leaf else a
         corr = states[source].corr
-        for j in range(1, ineq.k + 1):
-            d = m.entries[:, j - 1] @ vectors
+        for j, d in enumerate(m.delta_vectors(vectors), start=1):
             contracted = corr.T @ d if leaf == a else corr @ d
             norm = np.linalg.norm(contracted)
             obs = (
@@ -369,16 +369,10 @@ def check_conditions(
     for col, s in enumerate(peripheral):
         leaf = leaf_of[s]
         m = ineq.fcbi_map[s]
-        rho = states[s].matrix
-        for j in range(1, ineq.k + 1):
-            delta = sum(
-                m.entries[x - 1, j - 1]
-                * np.kron(bloch_matrix(strategy.bloch(leaf, x, s)), IDENTITY2)
-                for x in range(1, m.rows + 1)
-            )
-            X[j - 1, col] = np.sqrt(
-                max(np.trace(delta.conj().T @ delta @ rho).real, 0.0)
-            )
+        rows = [strategy.bloch(leaf, x, s) for x in range(1, m.rows + 1)]
+        # Delta_j = (d_j . sigma) x 1 squares to |d_j|^2 times the identity,
+        # so its norm on any state is |d_j|.
+        X[:, col] = np.linalg.norm(m.delta_vectors(rows), axis=1)
     svals = np.linalg.svd(X, compute_uv=False)
     rank1 = bool(svals[0] > 0 and (len(svals) < 2 or svals[1] <= rank_tol * svals[0]))
     zero_column = bool(np.any(np.all(X <= residual_tol, axis=0)))

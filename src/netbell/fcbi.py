@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadKError, NonConvergenceError, TooLargeError
-from .qstate import IDENTITY2, TwoQubitState, bloch_matrix
+from .qstate import TwoQubitState
 
 ENUMERATION_CAP_BITS = 24
+# classical_bound tabulates the signs of at most this many rows at once and
+# loops over the rest, so its memory stays O(2^16 * cols) up to the cap.
+SIGN_BLOCK_BITS = 16
 
 CHSH = "CHSH"
 CHAINED = "CHAINED"
@@ -57,6 +60,16 @@ class CoefficientMatrix:
         return self.entries.T @ np.asarray(bloch_rows, dtype=float)
 
 
+def sign_table(n_inputs: int, codes) -> np.ndarray:
+    """+/-1 assignments of n_inputs inputs, one per integer code.
+
+    Input i answers -1 where bit i of the code is set; the result has shape
+    codes.shape + (n_inputs,).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    return 1.0 - 2.0 * ((codes[..., None] >> np.arange(n_inputs)) & 1)
+
+
 def classical_bound(entries) -> float:
     """Exact classical bound: max over A_x = +/-1 of sum_y |sum_x M[x,y] A_x|."""
     m = np.asarray(entries, dtype=float)
@@ -67,9 +80,15 @@ def classical_bound(entries) -> float:
         raise TooLargeError(
             f"enumeration over 2^{rows} sign assignments exceeds the cap"
         )
-    codes = np.arange(2**rows, dtype=np.int64)
-    signs = 1.0 - 2.0 * ((codes[:, None] >> np.arange(rows)) & 1)
-    return float(np.abs(signs @ m).sum(axis=1).max())
+    # Code c = low + (high << n_low): each value of the high bits shifts the
+    # same table of low-row sums.
+    n_low = min(rows, SIGN_BLOCK_BITS)
+    low_sums = sign_table(n_low, np.arange(2**n_low)) @ m[:n_low]
+    best = -np.inf
+    for high in range(2 ** (rows - n_low)):
+        shift = sign_table(rows - n_low, high) @ m[n_low:]
+        best = max(best, np.abs(low_sums + shift).sum(axis=1).max())
+    return float(best)
 
 
 def chsh_matrix() -> np.ndarray:
@@ -252,9 +271,9 @@ def state_max(
 class SosWitness:
     """Column-norm certificate for a strategy on a state.
 
-    omega[y] = sqrt(Tr[Delta_y^dag Delta_y rho]); the achieved Bell value can
-    never exceed sum_y omega[y], and the per-column residuals <L_y^dag L_y>
-    are non-negative, vanishing exactly at the quantum optimum.
+    omega[y] = sqrt(Tr[Delta_y^dag Delta_y rho]) = |d_y|; the achieved Bell
+    value can never exceed sum_y omega[y], and the per-column residuals
+    <L_y^dag L_y> are non-negative, vanishing exactly at the quantum optimum.
     """
 
     omega: np.ndarray
@@ -280,25 +299,17 @@ def sos_witness(
     if a_bloch.shape != (matrix.rows, 3) or b_bloch.shape != (matrix.cols, 3):
         raise ValueError("observable arrays do not match the matrix shape")
 
-    omegas = np.zeros(matrix.cols)
+    # Delta_y = (d_y . sigma) x 1 squares to |d_y|^2 times the identity, so
+    # omega_y = |d_y| on every state, and <Delta_y B_y> = d_y^T T b_y.
+    d = matrix.delta_vectors(a_bloch)
+    omegas = np.linalg.norm(d, axis=1)
+    cross = np.einsum("yu,uv,yv->y", d, rho.corr, b_bloch)
     residuals = np.zeros(matrix.cols)
-    achieved = 0.0
-    for y in range(matrix.cols):
-        delta = sum(
-            matrix.entries[x, y] * np.kron(bloch_matrix(a_bloch[x]), IDENTITY2)
-            for x in range(matrix.rows)
-        )
-        omega = np.sqrt(
-            max(np.trace(delta.conj().T @ delta @ rho.matrix).real, 0.0)
-        )
-        b_op = np.kron(IDENTITY2, bloch_matrix(b_bloch[y]))
-        cross = np.trace(delta @ b_op @ rho.matrix).real
-        achieved += cross
-        omegas[y] = omega
-        residuals[y] = 2.0 - 2.0 * cross / omega if omega > 1e-14 else 0.0
+    live = omegas > 1e-14
+    residuals[live] = 2.0 - 2.0 * cross[live] / omegas[live]
     return SosWitness(
         omega=omegas,
         predicted_bound=float(omegas.sum()),
         residuals=residuals,
-        achieved=achieved,
+        achieved=float(cross.sum()),
     )

@@ -13,7 +13,7 @@ import numpy as np
 from .builder import NetworkInequality, build_inequality
 from .evaluator import SIGMA_X, SIGMA_Z, MeasurementStrategy, QubitObservable
 from .fcbi import CHSH, make_catalog
-from .topology import NetworkTopology, build_topology
+from .topology import NetworkTopology, build_topology, find_leaves
 
 
 def chain_topology(n_parties: int) -> NetworkTopology:
@@ -34,13 +34,7 @@ def six_party_topology() -> NetworkTopology:
 
 def chsh_inequality(topology: NetworkTopology) -> NetworkInequality:
     """CHSH map on every peripheral source of the given topology."""
-    edges = topology.edges
-    degrees = topology.degrees
-    peripheral = {
-        j
-        for j, (a, b) in enumerate(edges, start=1)
-        if degrees[a - 1] == 1 or degrees[b - 1] == 1
-    }
+    peripheral = find_leaves(topology).peripheral_set
     return build_inequality(
         topology, 2, {s: make_catalog(CHSH) for s in peripheral}
     )

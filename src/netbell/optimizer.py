@@ -35,8 +35,13 @@ from .errors import (
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
-from .evaluator import MeasurementStrategy, QubitObservable, evaluate_S
-from .fcbi import CHSH
+from .evaluator import (
+    MeasurementStrategy,
+    QubitObservable,
+    evaluate_S,
+    input_counts_for,
+)
+from .fcbi import CHSH, sign_table
 from .qstate import TwoQubitState
 from .topology import NetworkTopology, find_leaves
 
@@ -432,20 +437,6 @@ def cross_evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _party_layout(ineq: NetworkInequality) -> tuple[list[int], dict[int, int]]:
-    """Party order and per-party input counts."""
-    counts = {int(p): ineq.k for p in ineq.leaves.intermediate_set}
-    for leaf in ineq.leaves.leaf_set:
-        counts[int(leaf)] = ineq.leaf_fcbi(int(leaf)).rows
-    return sorted(counts), counts
-
-
-def _sign_table(n_inputs: int) -> np.ndarray:
-    """All 2^n deterministic +/-1 assignments, shape (2^n, n)."""
-    codes = np.arange(2**n_inputs, dtype=np.int64)
-    return 1.0 - 2.0 * ((codes[:, None] >> np.arange(n_inputs)) & 1)
-
-
 def classical_oracle(
     ineq: NetworkInequality,
     cardinalities: dict[int, int] | None = None,
@@ -473,7 +464,7 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
     # |I_j| ignores, so intermediates stay at +1 and only the leaf tables are
     # enumerated. In the full enumeration the first maximum has every
     # intermediate at +1 too, so the reported model is the same.
-    parties, counts = _party_layout(ineq)
+    counts = input_counts_for(ineq)
     leaves = [int(p) for p in ineq.leaves.leaf_set]
     leaf_bits = sum(counts[p] for p in leaves)
     if leaf_bits > EXHAUSTIVE_CAP_BITS:
@@ -484,7 +475,8 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
     # Delta row.
     prod = np.ones((1, ineq.k))
     for p in leaves:
-        table = _sign_table(counts[p]) @ ineq.leaf_fcbi(p).entries  # (2^r, k)
+        signs = sign_table(counts[p], np.arange(2 ** counts[p]))
+        table = signs @ ineq.leaf_fcbi(p).entries  # (2^r, k)
         prod = (prod[:, None, :] * table[None, :, :]).reshape(-1, ineq.k)
     s_all = (np.abs(prod) ** (1.0 / ineq.l)).sum(axis=1)
     best_idx = int(np.argmax(s_all))
@@ -492,9 +484,9 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
     codes = np.unravel_index(best_idx, [2 ** counts[p] for p in leaves])
     leaf_code = dict(zip(leaves, codes))
     responses = {}
-    for p in parties:
+    for p in sorted(counts):
         if p in leaf_code:
-            signs = _sign_table(counts[p])[leaf_code[p]]
+            signs = sign_table(counts[p], leaf_code[p])
         else:
             signs = np.ones(counts[p])
         responses[p] = signs[:, None].astype(float)
@@ -518,7 +510,8 @@ def _incident_sorted(topology: NetworkTopology, party: int) -> list[int]:
 
 def evaluate_local_model(ineq: NetworkInequality, model: LocalModel) -> float:
     """S of a local model, averaging over the hidden product alphabet."""
-    parties, counts = _party_layout(ineq)
+    counts = input_counts_for(ineq)
+    parties = sorted(counts)
     leaf_set = {int(p) for p in ineq.leaves.leaf_set}
     topology = ineq.topology
     sources = list(range(1, topology.n_sources + 1))
@@ -564,7 +557,8 @@ def _oracle_random(
         raise TooLargeForExhaustiveError(
             f"hidden product alphabet of size {space} exceeds the cap"
         )
-    parties, counts = _party_layout(ineq)
+    counts = input_counts_for(ineq)
+    parties = sorted(counts)
     leaf_set = {int(p) for p in ineq.leaves.leaf_set}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 

@@ -18,7 +18,10 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-IDENTITY2 = np.eye(2, dtype=complex)
+# PAULI[u, v] = sigma_u x sigma_v with sigma_0 = identity: the 16-element
+# two-qubit operator basis, orthogonal under Tr[P^dag Q] = 4 delta.
+_BASIS = (np.eye(2, dtype=complex), *SIGMA)
+PAULI = np.array([[np.kron(s, t) for t in _BASIS] for s in _BASIS])
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -76,18 +79,10 @@ def bloch_decompose(matrix) -> TwoQubitState:
     if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -PSD_TOL:
         raise NotAStateError("matrix is not positive semidefinite within tolerance")
 
-    a = np.array(
-        [np.trace(rho @ np.kron(SIGMA[u], IDENTITY2)).real for u in range(3)]
-    )
-    b = np.array(
-        [np.trace(rho @ np.kron(IDENTITY2, SIGMA[v])).real for v in range(3)]
-    )
-    corr = np.array(
-        [
-            [np.trace(rho @ np.kron(SIGMA[u], SIGMA[v])).real for v in range(3)]
-            for u in range(3)
-        ]
-    )
+    # r[u, v] = Tr[rho (sigma_u x sigma_v)]; row and column 0 hold the
+    # local Bloch vectors, the 3x3 block holds T.
+    r = np.einsum("uvij,ji->uv", PAULI, rho).real
+    a, b, corr = r[1:, 0], r[0, 1:], r[1:, 1:]
     return TwoQubitState(
         matrix=rho,
         bloch_a=a,
@@ -99,13 +94,9 @@ def bloch_decompose(matrix) -> TwoQubitState:
 
 def reconstruct(state: TwoQubitState) -> np.ndarray:
     """Rebuild the density matrix from (a, b, T); inverse of bloch_decompose."""
-    rho = np.kron(IDENTITY2, IDENTITY2).astype(complex)
-    for u in range(3):
-        rho += state.bloch_a[u] * np.kron(SIGMA[u], IDENTITY2)
-        rho += state.bloch_b[u] * np.kron(IDENTITY2, SIGMA[u])
-        for v in range(3):
-            rho += state.corr[u, v] * np.kron(SIGMA[u], SIGMA[v])
-    return rho / 4.0
+    r = np.ones((4, 4))
+    r[1:, 0], r[0, 1:], r[1:, 1:] = state.bloch_a, state.bloch_b, state.corr
+    return np.einsum("uv,uvij->ij", r, PAULI) / 4.0
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,9 @@ def build_topology(
         allow_disconnected: downgrade the connectivity failure to a warning.
 
     Validation costs one O(M log M) sort of int64 keys, one per source, plus
-    O(N + M) passes for the range, degree and connectivity checks.
+    O(N + M) passes for the range, degree and connectivity checks. More than
+    2M parties always leaves one isolated; that case is refused from the
+    endpoints alone, so time and memory never scale with an N above 2M.
 
     Raises:
         IndexOutOfRangeError: empty or malformed ``edges``, a party index
@@ -142,12 +144,19 @@ def build_topology(
     if np.any(key[1:] == key[:-1]):
         raise DuplicateEdgeError("each source must connect a distinct pair of parties")
 
+    m = arr.shape[0]
+    if n_parties > 2 * m:
+        # Fewer endpoints than parties: find the lowest isolated party from
+        # the endpoints alone rather than allocate a degree per party.
+        present = np.unique(arr)
+        gaps = np.flatnonzero(present != np.arange(1, present.size + 1))
+        missing = int(gaps[0]) + 1 if gaps.size else present.size + 1
+        raise IsolatedPartyError(f"party {missing} is attached to no source")
     degrees = np.bincount(arr.ravel(), minlength=n_parties + 1)[1:]
     if np.any(degrees == 0):
         missing = int(np.flatnonzero(degrees == 0)[0]) + 1
         raise IsolatedPartyError(f"party {missing} is attached to no source")
 
-    m = arr.shape[0]
     graph = coo_matrix(
         (np.ones(m), (arr[:, 0] - 1, arr[:, 1] - 1)), shape=(n_parties, n_parties)
     )

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from netbell.builder import (
-    build_inequality,
-    classical_bound_network,
-    mixed_state_bound,
-    quantum_bound_network,
-)
+from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     ColumnMismatchError,
     DegenerateBipartiteError,
@@ -23,8 +18,6 @@ def test_six_party_chsh_bounds(six_party_ineq):
     assert six_party_ineq.l == 3
     assert six_party_ineq.classical_bound == pytest.approx(1.0)
     assert six_party_ineq.quantum_bound == pytest.approx(np.sqrt(2.0))
-    assert classical_bound_network(six_party_ineq) == pytest.approx(1.0)
-    assert quantum_bound_network(six_party_ineq) == pytest.approx(np.sqrt(2.0))
 
 
 def test_asymmetric_map_bounds(six_party):

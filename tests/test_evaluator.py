@@ -133,6 +133,20 @@ def test_conditions_hold_at_optimum(six_party_ineq, phi_plus_states):
     np.testing.assert_allclose(rep.X, np.broadcast_to(rep.X[0], rep.X.shape), atol=1e-12)
 
 
+def test_conditions_X_does_not_depend_on_the_state(six_party_ineq, phi_plus_states):
+    """X is the matrix of |d_j| per peripheral source: the same on a Werner
+    state as on the maximally entangled one, for non-optimal leaf vectors."""
+    strategy = optimal_strategy(six_party_ineq, phi_plus_states)
+    rng = np.random.default_rng(3)
+    for leaf, source in six_party_ineq.leaves.peripheral_map.items():
+        for x in (1, 2):
+            strategy.set(leaf, x, source, rng.normal(size=3))
+    noisy = {s: werner(WernerSpec(0.6)) for s in phi_plus_states}
+    X = check_conditions(six_party_ineq, phi_plus_states, strategy).X
+    np.testing.assert_array_equal(check_conditions(six_party_ineq, noisy, strategy).X, X)
+    assert not np.allclose(X, X[0])
+
+
 def test_conditions_fail_for_misaligned_intermediate(six_party_ineq, phi_plus_states):
     strategy = optimal_strategy(six_party_ineq, phi_plus_states)
     strategy.set(2, 1, 2, SIGMA_X)  # breaks the t0 alignment on source 2

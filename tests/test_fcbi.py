@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from netbell.fcbi import (
     sos_witness,
     state_max,
 )
-from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
+from netbell.qstate import SIGMA, WernerSpec, max_entangled, random_mixed, werner
 
 
 def test_chsh_entries():
@@ -60,6 +63,22 @@ def test_bad_catalog_params():
 def test_classical_bound_cap():
     with pytest.raises(TooLargeError):
         classical_bound(np.ones((25, 2)))
+
+
+def test_classical_bound_matches_direct_enumeration():
+    # 18 rows span several blocks of sign assignments.
+    m = np.random.default_rng(7).normal(size=(18, 3))
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=18)))
+    direct = np.abs(signs @ m).sum(axis=1).max()
+    tracemalloc.start()
+    try:
+        beta = classical_bound(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert beta == pytest.approx(direct, rel=1e-14)
+    # A full (2^18, 18) float table alone would take 36 MiB.
+    assert peak < 24 * 2**20
 
 
 @given(
@@ -138,3 +157,37 @@ def test_sos_witness_dominates_off_optimum():
     wit = sos_witness(m, rho, a, b)
     assert wit.achieved <= wit.predicted_bound + 1e-12
     assert np.all(wit.residuals >= -1e-12)
+
+
+def _bloch_op(n):
+    return sum(c * s for c, s in zip(n, SIGMA))
+
+
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("tag,k", [(CHAINED, 3), (EBI, None)])
+@pytest.mark.parametrize("seed", range(4))
+def test_sos_witness_matches_operators(tag, k, seed):
+    """The closed forms against explicit Delta_y and B_y operators on 4x4
+    matrices, for random states and random non-optimal observables."""
+    m = make_catalog(tag, k)
+    rho = random_mixed(seed)
+    rng = np.random.default_rng(100 + seed)
+    a, b = _unit_rows(rng, m.rows), _unit_rows(rng, m.cols)
+    wit = sos_witness(m, rho, a, b)
+    eye = np.eye(2)
+    omega, cross = [], []
+    for y in range(m.cols):
+        delta = sum(
+            m.entries[x, y] * np.kron(_bloch_op(a[x]), eye) for x in range(m.rows)
+        )
+        omega.append(np.sqrt(np.trace(delta.conj().T @ delta @ rho.matrix).real))
+        b_op = np.kron(eye, _bloch_op(b[y]))
+        cross.append(np.trace(delta @ b_op @ rho.matrix).real)
+    omega, cross = np.array(omega), np.array(cross)
+    np.testing.assert_allclose(wit.omega, omega, atol=1e-12)
+    assert wit.achieved == pytest.approx(cross.sum(), abs=1e-12)
+    np.testing.assert_allclose(wit.residuals, 2.0 - 2.0 * cross / omega, atol=1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from netbell.errors import BadSchmidtError, BadVisibilityError, NotAStateError
 from netbell.qstate import (
+    SIGMA,
     WernerSpec,
     bloch_decompose,
     classical_zz,
@@ -58,6 +59,18 @@ def test_classical_and_product_states():
 def test_decompose_reconstruct_roundtrip(seed):
     state = random_mixed(seed)
     np.testing.assert_allclose(reconstruct(state), state.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_matches_traces(seed):
+    state = random_mixed(seed)
+    rho, eye = state.matrix, np.eye(2)
+    a = [np.trace(rho @ np.kron(s, eye)).real for s in SIGMA]
+    b = [np.trace(rho @ np.kron(eye, s)).real for s in SIGMA]
+    corr = [[np.trace(rho @ np.kron(s, t)).real for t in SIGMA] for s in SIGMA]
+    np.testing.assert_allclose(state.bloch_a, a, atol=1e-12)
+    np.testing.assert_allclose(state.bloch_b, b, atol=1e-12)
+    np.testing.assert_allclose(state.corr, corr, atol=1e-12)
 
 
 def test_rejects_non_states():

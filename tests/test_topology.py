@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,8 +78,26 @@ def test_out_of_range_rejected():
 
 
 def test_isolated_party_rejected():
-    with pytest.raises(IsolatedPartyError):
-        build_topology(4, [(1, 2), (2, 3)])
+    cases = [
+        (4, [(1, 2), (2, 3)], 4),
+        (5, [(1, 3), (3, 4)], 2),  # more than 2M parties, gap below the top
+        (10, [(1, 2), (2, 3)], 4),  # more than 2M parties, no gap
+    ]
+    for n, edges, missing in cases:
+        with pytest.raises(IsolatedPartyError, match=f"party {missing} "):
+            build_topology(n, edges)
+
+
+def test_isolated_party_memory_follows_sources():
+    # A per-party degree array for 2 * 10**7 parties would take 160 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(IsolatedPartyError, match="party 3 "):
+            build_topology(2 * 10**7, [(1, 2)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_disconnected():
