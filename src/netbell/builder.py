@@ -140,11 +140,18 @@ def mixed_state_bound(
 
     Product of the per-peripheral-source state maxima and the largest
     correlation singular value of every intermediate source, all to the
-    power 1/l.
+    power 1/l. Sources with the same FCBI and the same correlation matrix
+    share one state_max call, which is exact: its result depends on nothing
+    else.
     """
+    maxima = {}
     factors = []
     for s in sorted(ineq.leaves.peripheral_set):
-        factors.append(state_max(ineq.fcbi_map[s], states[s], restarts, seed))
+        m, rho = ineq.fcbi_map[s], states[s]
+        key = (m.tag, m.entries.shape, m.entries.tobytes(), rho.corr.tobytes())
+        if key not in maxima:
+            maxima[key] = state_max(m, rho, restarts, seed)
+        factors.append(maxima[key])
     for u in ineq.intermediate_sources():
         factors.append(states[u].t0)
     return _geomean(factors, ineq.l)

@@ -168,14 +168,14 @@ def custom_matrix(entries, restarts: int = 32, seed: int = 0) -> CoefficientMatr
     )
 
 
-def _objective(bloch_rows: np.ndarray, m: np.ndarray, corr: np.ndarray) -> float:
+def _objective(bloch_rows: np.ndarray, m: np.ndarray, corr: np.ndarray) -> np.ndarray:
     td = (m.T @ bloch_rows) @ corr  # row y = (T^T d_y)^T
-    return float(np.linalg.norm(td, axis=1).sum())
+    return np.linalg.norm(td, axis=-1).sum(axis=-1)
 
 
 def _normalize_rows(a: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
-    """Row-normalize; rows of near-zero norm fall back to the given rows."""
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    """Normalize along the last axis; near-zero rows fall back to the given rows."""
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
     safe = np.where(norms > 1e-14, norms, 1.0)
     out = a / safe
     if fallback is not None:
@@ -183,55 +183,55 @@ def _normalize_rows(a: np.ndarray, fallback: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _seesaw_once(
+def _seesaw_value(
     m: np.ndarray,
     corr: np.ndarray,
-    start: np.ndarray,
+    restarts: int,
+    seed: int,
     iters: int = 200,
     stag_tol: float = 1e-12,
-) -> tuple[float, np.ndarray, bool]:
-    """Alternating exact updates on the two sides.
+) -> tuple[float, np.ndarray]:
+    """Best of `restarts` see-saws, all advanced together on one array.
 
     With the A-side fixed, the best B observables are b_y || T^T d_y; with
     those fixed, the best A observables are a_x || sum_y M[x,y] T b_y. Both
-    half-steps are exact maximizations, so the value is monotone; stop when
-    a full sweep gains less than stag_tol.
+    half-steps are exact maximizations, so each restart's value is monotone;
+    a restart stops at the first sweep that gains less than stag_tol.
+    Restart r starts from default_rng(child r of SeedSequence(seed)); ties go
+    to the lowest r. Returns (value, bloch_rows) of the best restart.
     """
-    a = _normalize_rows(np.asarray(start, dtype=float))
-    value = _objective(a, m, corr)
-    converged = False
-    for _ in range(iters):
-        b = _normalize_rows((m.T @ a) @ corr)
-        a = _normalize_rows(m @ (b @ corr.T), fallback=a)
-        new_value = _objective(a, m, corr)
-        if new_value - value < stag_tol:
-            value = max(value, new_value)
-            converged = True
-            break
-        value = new_value
-    return value, a, converged
-
-
-def _seesaw_value(
-    m: np.ndarray, corr: np.ndarray, restarts: int, seed: int
-) -> tuple[float, np.ndarray]:
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best_val, best_obs = -np.inf, None
-    any_converged = False
-    for child in seeds:
-        rng = np.random.default_rng(child)
-        start = rng.normal(size=(m.shape[0], 3))
-        val, obs, conv = _seesaw_once(m, corr, start)
-        any_converged = any_converged or conv
-        if val > best_val:
-            best_val, best_obs = val, obs
-    if not any_converged:
-        raise NonConvergenceError(
-            "see-saw failed to converge in every restart", best_value=best_val
+    a = _normalize_rows(
+        np.stack(
+            [
+                np.random.default_rng(child).normal(size=(m.shape[0], 3))
+                for child in np.random.SeedSequence(seed).spawn(restarts)
+            ]
         )
-    return best_val, best_obs
+    )
+    value = _objective(a, m, corr)
+    converged = np.zeros(restarts, dtype=bool)
+    live = np.arange(restarts)
+    for _ in range(iters):
+        a_live = a[live]
+        b = _normalize_rows((m.T @ a_live) @ corr)
+        a_live = _normalize_rows(m @ (b @ corr.T), fallback=a_live)
+        new_value = _objective(a_live, m, corr)
+        old_value = value[live]
+        done = new_value - old_value < stag_tol
+        a[live] = a_live
+        value[live] = np.where(done, np.maximum(old_value, new_value), new_value)
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
+    best = int(np.argmax(value))
+    if not converged.any():
+        raise NonConvergenceError(
+            "see-saw failed to converge in every restart", best_value=float(value[best])
+        )
+    return float(value[best]), a[best]
 
 
 def quantum_opt_numeric(

@@ -22,6 +22,7 @@ intermediate parties answer +1, since their sign cannot change |I_j|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -81,7 +82,7 @@ class LocalModel:
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = math.sqrt(v @ v)
     return v / n if n > 1e-14 else v
 
 
@@ -277,13 +278,14 @@ def _max_abs_powersum(
     Candidate directions plus projected-gradient polish with backtracking;
     the returned vector never scores below `start`.
     """
+    p = 1.0 / l
 
     def h(n):
-        return float(np.sum(np.abs(cs + gs @ n) ** (1.0 / l)))
+        return float(np.add.reduce(np.abs(cs + gs @ n) ** p))
 
     candidates = [start]
     for g in gs:
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g @ g)
         if norm > 1e-14:
             candidates.append(g / norm)
             candidates.append(-g / norm)
@@ -294,7 +296,7 @@ def _max_abs_powersum(
     for _ in range(60):
         v = cs + gs @ n
         mags = np.maximum(np.abs(v), 1e-12)
-        grad = ((1.0 / l) * mags ** (1.0 / l - 1.0) * np.sign(v)) @ gs
+        grad = (p * mags ** (p - 1.0) * np.sign(v)) @ gs
         improved = False
         while step > 1e-12:
             cand = _normalize(n + step * grad)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netbell import builder
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     ColumnMismatchError,
@@ -9,8 +10,8 @@ from netbell.errors import (
     MissingFcbiError,
     TooFewLeavesError,
 )
-from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog
-from netbell.qstate import WernerSpec, max_entangled, werner
+from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog, state_max
+from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
 from netbell.topology import build_topology
 
 
@@ -90,3 +91,28 @@ def test_mixed_state_bound_werner(six_party_ineq):
 def test_mixed_state_bound_max_entangled(six_party_ineq, phi_plus_states):
     bound = mixed_state_bound(six_party_ineq, phi_plus_states)
     assert bound == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "states,calls",
+    [
+        ({s: werner(WernerSpec(0.7)) for s in range(1, 7)}, 1),
+        ({s: random_mixed(s) for s in range(1, 7)}, 3),
+    ],
+    ids=["uniform_werner", "distinct"],
+)
+def test_mixed_state_bound_shares_equal_sources(six_party, monkeypatch, states, calls):
+    """Peripheral sources with the same FCBI and state share one state_max."""
+    ineq = build_inequality(six_party, 3, {s: make_catalog(CHAINED, 3) for s in (1, 3, 5)})
+    seen = []
+
+    def counting_state_max(*args):
+        seen.append(args)
+        return state_max(*args)
+
+    monkeypatch.setattr(builder, "state_max", counting_state_max)
+    bound = mixed_state_bound(ineq, states, restarts=8, seed=0)
+    assert len(seen) == calls
+    factors = [state_max(ineq.fcbi_map[s], states[s], 8, 0) for s in (1, 3, 5)]
+    factors += [states[u].t0 for u in ineq.intermediate_sources()]
+    assert bound == pytest.approx(np.prod(factors) ** (1 / 3), rel=1e-14)

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netbell.errors import BadKError, TooLargeError
+from netbell.errors import BadKError, NonConvergenceError, TooLargeError
 from netbell.fcbi import (
     CHAINED,
     CHSH,
     EBI,
+    _seesaw_value,
     classical_bound,
     custom_matrix,
     make_catalog,
@@ -191,3 +192,101 @@ def test_sos_witness_matches_operators(tag, k, seed):
     np.testing.assert_allclose(wit.omega, omega, atol=1e-12)
     assert wit.achieved == pytest.approx(cross.sum(), abs=1e-12)
     np.testing.assert_allclose(wit.residuals, 2.0 - 2.0 * cross / omega, atol=1e-12)
+
+
+def _serial_normalize_rows(a, fallback=None):
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    out = a / np.where(norms > 1e-14, norms, 1.0)
+    if fallback is not None:
+        out = np.where(norms > 1e-14, out, fallback)
+    return out
+
+
+def _serial_objective(a, m, corr):
+    return float(np.linalg.norm((m.T @ a) @ corr, axis=1).sum())
+
+
+def _serial_seesaw(m, corr, restarts, seed, iters=200, stag_tol=1e-12):
+    """Reference: one restart at a time, as the see-saw was first written.
+
+    Returns ("ok", value, rows), or ("raised", best_value) when no restart
+    converges.
+    """
+    best_val, best_obs, any_converged = -np.inf, None, False
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        start = np.random.default_rng(child).normal(size=(m.shape[0], 3))
+        a = _serial_normalize_rows(start)
+        value = _serial_objective(a, m, corr)
+        converged = False
+        for _ in range(iters):
+            b = _serial_normalize_rows((m.T @ a) @ corr)
+            a = _serial_normalize_rows(m @ (b @ corr.T), fallback=a)
+            new_value = _serial_objective(a, m, corr)
+            if new_value - value < stag_tol:
+                value = max(value, new_value)
+                converged = True
+                break
+            value = new_value
+        any_converged = any_converged or converged
+        if value > best_val:
+            best_val, best_obs = value, a
+    if not any_converged:
+        return ("raised", best_val)
+    return ("ok", best_val, best_obs)
+
+
+def _batched_seesaw(m, corr, restarts, seed):
+    try:
+        value, rows = _seesaw_value(m, corr, restarts, seed)
+    except NonConvergenceError as exc:
+        return ("raised", exc.best_value)
+    return ("ok", value, rows)
+
+
+# On chained-2 the optimum is flat, so restarts tie to the last digit and
+# the choice among them shows which sweep's value each restart kept.
+_PARITY_MATRICES = {
+    "chained2": make_catalog(CHAINED, 2).entries,
+    "chained3": make_catalog(CHAINED, 3).entries,
+    "chained4": make_catalog(CHAINED, 4).entries,
+    "ebi": make_catalog(EBI).entries,
+    "random4x3": np.random.default_rng(11).normal(size=(4, 3)),
+}
+# v = 0 has T = 0, so every A-side update takes the fallback rows.
+_PARITY_STATES = {
+    "werner0": lambda: werner(WernerSpec(0.0)),
+    "werner0.5": lambda: werner(WernerSpec(0.5)),
+    "werner1": lambda: werner(WernerSpec(1.0)),
+    "mixed0": lambda: random_mixed(0),
+    "mixed1": lambda: random_mixed(1),
+    "mixed2": lambda: random_mixed(2),
+}
+
+
+@pytest.mark.parametrize("state", sorted(_PARITY_STATES))
+@pytest.mark.parametrize("matrix", sorted(_PARITY_MATRICES))
+def test_batched_seesaw_matches_serial_restarts(matrix, state):
+    m, corr = _PARITY_MATRICES[matrix], _PARITY_STATES[state]().corr
+    for seed in (0, 1):
+        serial = _serial_seesaw(m, corr, 16, seed)
+        batched = _batched_seesaw(m, corr, 16, seed)
+        assert batched[0] == serial[0]
+        assert abs(batched[1] - serial[1]) <= 1e-15
+        if serial[0] == "ok":
+            np.testing.assert_allclose(batched[2], serial[2], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [4, 7])
+def test_batched_seesaw_nonconvergence_matches_serial(seed):
+    """EBI on these states converges too slowly for stag_tol in 200 sweeps
+    in every restart, so both versions raise with the same best value."""
+    m, corr = make_catalog(EBI).entries, random_mixed(seed).corr
+    serial = _serial_seesaw(m, corr, 32, 0)
+    batched = _batched_seesaw(m, corr, 32, 0)
+    assert serial[0] == batched[0] == "raised"
+    assert abs(batched[1] - serial[1]) <= 1e-15
+
+
+def test_seesaw_refuses_zero_restarts():
+    with pytest.raises(ValueError):
+        _seesaw_value(make_catalog(EBI).entries, np.eye(3), 0, 0)
