@@ -1,21 +1,34 @@
-"""Measurement strategies and network correlator evaluation.
+"""Measurement strategies and the network contraction.
 
-Two evaluation paths are provided. The factorized path contracts each
-source separately: for traceless qubit observables the correlator of a
-product state is the product of u^T T v terms, one per source. The
-full-tensor path builds the explicit 2^(2M)-dimensional operators and
-traces against the global state; it exists as an independent cross-check
-and additionally accepts joint (possibly entangled) party observables.
+For traceless qubit observables on a product of two-qubit states, every
+column correlator I_j is a tensor-network contraction of the per-source
+correlation matrices. `_CrossObjective` is the one engine for it: each
+source enters as its factor F_s = U_a T_s U_b^T, with one row of Bloch
+vectors per input of each endpoint, and all k columns come from one
+np.einsum. `evaluate_S`, `optimizer.cross_evaluate` and the network
+see-saw all call it.
+
+`evaluate_S(method="tensor")` is the independent oracle for M <= 6
+sources: it builds the explicit 2^(2M)-dimensional operators, traces them
+against the global state, and also accepts joint (possibly entangled)
+party observables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .builder import NetworkInequality
-from .errors import IncompleteStrategyError, UnsupportedFcbiError
+from .errors import (
+    IncompleteStrategyError,
+    PartyCountMismatchError,
+    TooLargeForExhaustiveError,
+    UnsupportedFcbiError,
+)
 from .fcbi import CHAINED, CHSH, EBI
 from .qstate import TwoQubitState, bloch_matrix
 from .topology import NetworkTopology
@@ -125,33 +138,238 @@ class ConditionReport:
 
 def input_counts_for(ineq: NetworkInequality) -> dict[int, int]:
     """Input count per party: FCBI rows for leaves, k for intermediates."""
-    counts = {}
-    for party in ineq.leaves.intermediate_set:
-        counts[int(party)] = ineq.k
-    for leaf in ineq.leaves.leaf_set:
-        counts[int(leaf)] = ineq.leaf_fcbi(int(leaf)).rows
+    counts = dict.fromkeys(ineq.leaves.intermediate_set.tolist(), ineq.k)
+    for leaf, source in ineq.leaves.peripheral_map.items():
+        counts[leaf] = ineq.fcbi_map[source].rows
     return counts
 
 
-def correlator(
-    topology: NetworkTopology,
-    states: dict[int, TwoQubitState],
-    strategy: MeasurementStrategy,
-    x: dict[int, int],
-) -> float:
-    """Factorized full-correlation expectation for one input assignment.
+def _normalize(v: np.ndarray) -> np.ndarray:
+    n = math.sqrt(v @ v)
+    return v / n if n > 1e-14 else v
 
-    E = prod_j u_j^T T_j v_j, with u_j, v_j the Bloch vectors of the two
-    endpoint observables of source j. Valid for traceless observables on a
-    product of bipartite states.
+
+# einsum index of each target leaf with several host sources; "j" is the
+# column index that every intermediate party's input is tied to.
+_LEAF_INDICES = "abcdefghiklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+# Operand of a source by the roles of its endpoints (a, b): "j" for an
+# intermediate, "l" for a leaf with its own einsum index, "f" for a leaf
+# whose only host source this is. Each entry is the einsum that reduces
+# F[x_a, x_b] and the folded leaves' weights to R (None: R = F), and the
+# axes of R, with a and b standing for the endpoints' leaf indices.
+_OPERANDS = {
+    ("j", "j"): ("jj->j", "j"),
+    ("j", "l"): (None, "jb"),
+    ("j", "f"): ("jy,yj->j", "j"),
+    ("l", "j"): (None, "aj"),
+    ("l", "l"): (None, "ab"),
+    ("l", "f"): ("ay,yj->aj", "aj"),
+    ("f", "j"): ("xj,xj->j", "j"),
+    ("f", "l"): ("xb,xj->bj", "bj"),
+    ("f", "f"): ("xy,xj,yj->j", "j"),
+}
+
+
+class _CrossObjective:
+    """S of a target inequality evaluated on strategies of a host network.
+
+    The target supplies the leaf set, Delta coefficients, column count, and
+    exponent 1/l; the host supplies the sources, states, and slot layout.
+    When host and target coincide this is the plain network objective.
+
+    A strategy is held as one (inputs, 3) array of Bloch rows per source
+    endpoint: vecs[i] = [U_a, U_b] for host source i + 1 with endpoints
+    (a, b). Source i enters the contraction as its operand R_i: the factor
+    F_i = U_a T_i U_b^T with the weights M_p[:, j] of every target leaf p
+    whose only host source it is summed in, and the diagonal taken where
+    both axes carry the column index j. Operands that reduce to a vector
+    over j enter as their product, so einsum operands and indices are spent
+    only on leaves with several host sources, which a host other than the
+    target can have.
     """
-    value = 1.0
-    for j in range(1, topology.n_sources + 1):
-        a, b = topology.endpoints(j)
-        u = strategy.bloch(a, x[a], j)
-        v = strategy.bloch(b, x[b], j)
-        value *= float(u @ states[j].corr @ v)
-    return value
+
+    def __init__(
+        self,
+        target: NetworkInequality,
+        host: NetworkTopology,
+        states: dict[int, TwoQubitState],
+    ):
+        if host.n_parties != target.topology.n_parties:
+            raise PartyCountMismatchError(
+                "host and target networks must have the same party count"
+            )
+        self.k = target.k
+        self.l = target.l
+        self.intermediate = set(target.leaves.intermediate_set.tolist())
+        # Input count per party in the host strategy space.
+        self.input_counts = input_counts_for(target)
+        self._leaf_weights = {
+            p: target.fcbi_map[s].entries
+            for p, s in target.leaves.peripheral_map.items()
+        }
+        lettered = [p for p in self._leaf_weights if host.degrees[p - 1] > 1]
+        if len(lettered) > len(_LEAF_INDICES):
+            raise TooLargeForExhaustiveError(
+                f"{len(lettered)} leaves with several host sources exceed the "
+                f"{len(_LEAF_INDICES)} einsum indices"
+            )
+        self._index = dict.fromkeys(self.intermediate, "j")
+        self._index.update(zip(lettered, _LEAF_INDICES))
+        self._role = dict.fromkeys(self.intermediate, "j")
+        self._role.update(dict.fromkeys(lettered, "l"))
+        self.weights = [self._leaf_weights[p] for p in lettered]
+        self._weight_subs = [self._index[p] + "j" for p in lettered]
+
+        self._host = host
+        self.ends = [tuple(e) for e in host.edges.tolist()]
+        self.corrs = [states[s].corr for s in range(1, host.n_sources + 1)]
+        self.inner, self.outer = [], []
+        self._folds, self._subs = [], []
+        for a, b in self.ends:
+            roles = self._role.get(a, "f"), self._role.get(b, "f")
+            spec, out = _OPERANDS[roles]
+            folded = [self._leaf_weights[p] for p, r in zip((a, b), roles) if r == "f"]
+            self._folds.append(None if spec is None else (spec, folded))
+            letters = {"a": self._index.get(a), "b": self._index.get(b), "j": "j"}
+            subs = "".join(letters[c] for c in out)
+            (self.inner if subs == "j" else self.outer).append(len(self._subs))
+            self._subs.append(subs)
+        self._value_spec = ",".join(
+            ["j"] + [self._subs[i] for i in self.outer] + self._weight_subs
+        ) + "->j"
+        self._env_parts = {}
+
+    @cached_property
+    def slots(self) -> list[tuple[int, int, int]]:
+        """Slot order: party, then input, then incident source."""
+        return [
+            (p, inp, s)
+            for p in range(1, self._host.n_parties + 1)
+            for inp in range(1, self.input_counts[p] + 1)
+            for s in self._host.incident_sources(p)
+        ]
+
+    def _side(self, party: int, i: int) -> int:
+        return 0 if self.ends[i][0] == party else 1
+
+    def vectors(self, row) -> list[list[np.ndarray]]:
+        """Endpoint arrays with row(party, input, source) filled in slot order."""
+        vecs = [
+            [np.zeros((self.input_counts[a], 3)), np.zeros((self.input_counts[b], 3))]
+            for a, b in self.ends
+        ]
+        for party, inp, s in self.slots:
+            vecs[s - 1][self._side(party, s - 1)][inp - 1] = row(party, inp, s)
+        return vecs
+
+    def strategy(self, vecs) -> MeasurementStrategy:
+        """The strategy of the endpoint arrays; a zero row becomes sigma_z."""
+        strategy = MeasurementStrategy()
+        for party, inp, s in self.slots:
+            vec = _normalize(vecs[s - 1][self._side(party, s - 1)][inp - 1])
+            strategy.slots[(party, inp, s)] = (
+                QubitObservable(vec) if vec @ vec > 0.5 else SIGMA_Z
+            )
+        return strategy
+
+    def _product(self, vecs, i: int) -> np.ndarray:
+        a_rows, b_rows = vecs[i]
+        return a_rows @ self.corrs[i] @ b_rows.T
+
+    def factor(self, vecs, i: int) -> np.ndarray:
+        """The operand R_i of source i."""
+        f = self._product(vecs, i)
+        if self._folds[i] is None:
+            return f
+        spec, folded = self._folds[i]
+        return np.einsum(spec, f, *folded)
+
+    def factors(self, vecs) -> list[np.ndarray]:
+        return [self.factor(vecs, i) for i in range(len(self.ends))]
+
+    def _diagonals(self, factors, skip: int | None = None) -> np.ndarray:
+        d = np.ones(self.k)
+        for i in self.inner:
+            if i != skip:
+                d = d * factors[i]
+        return d
+
+    def columns(self, factors) -> np.ndarray:
+        """All k column correlators I_j."""
+        return np.einsum(
+            self._value_spec,
+            self._diagonals(factors),
+            *[factors[i] for i in self.outer],
+            *self.weights,
+        )
+
+    def value(self, factors) -> float:
+        return float(np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l)))
+
+    def _env_layout(self, i: int) -> tuple[str, tuple, np.ndarray]:
+        """einsum spec, shape and mask that expand the environment of R_i to
+        G_i[x_a, x_b, j] = dI_j / dF_i[x_a, x_b].
+
+        An intermediate endpoint has input j in column j, hence a delta(x, j)
+        mask; a leaf summed into R_i contributes its weights M_p[x, j].
+        """
+        if i not in self._env_parts:
+            a, b = self.ends[i]
+            kept = [self._subs[t] for t in self.outer if t != i]
+            roles = self._role.get(a, "f"), self._role.get(b, "f")
+            out = "".join(self._index[p] for p, r in zip((a, b), roles) if r == "l")
+            spec = ",".join(["j"] + kept + self._weight_subs) + "->" + out + "j"
+            shape = []
+            mask = np.ones((self.input_counts[a], self.input_counts[b], self.k))
+            for axis, (p, r) in enumerate(zip((a, b), roles)):
+                if r == "l":
+                    shape.append(self.input_counts[p])
+                    continue
+                shape.append(1)
+                m = np.eye(self.k) if r == "j" else self._leaf_weights[p]
+                mask *= np.expand_dims(m, 1 - axis)
+            self._env_parts[i] = (spec, (*shape, self.k), mask)
+        return self._env_parts[i]
+
+    def environment(self, factors, i: int) -> np.ndarray:
+        """G_i with shape (inputs of a, inputs of b, k); it does not depend on F_i."""
+        spec, shape, mask = self._env_layout(i)
+        env = np.einsum(
+            spec,
+            self._diagonals(factors, skip=i),
+            *[factors[t] for t in self.outer if t != i],
+            *self.weights,
+        )
+        return env.reshape(shape) * mask
+
+    def affected_columns(self, party: int, inp: int) -> list[int]:
+        """0-based columns whose correlator depends on the party's input."""
+        if party in self.intermediate:
+            return [inp - 1]
+        return list(range(self.k))
+
+    def affine_coeffs(
+        self, vecs, env: np.ndarray, slot: tuple[int, int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """I_j = c_j + g_j . n for every column j, with n the slot's vector.
+
+        c_j sums the entries of F_i * G_i whose input at the slot's party is
+        not the slot's input; g_j contracts the remaining environment row
+        with T_i and the other endpoint's vectors.
+        """
+        party, inp, source = slot
+        i = source - 1
+        corr = self.corrs[i]
+        f = self._product(vecs, i)
+        if self._side(party, i) == 0:
+            other = vecs[i][1] @ corr.T
+        else:
+            f, env, other = f.T, env.transpose(1, 0, 2), vecs[i][0] @ corr
+        rows = np.einsum("po,poj->pj", f, env)
+        c = np.delete(rows, inp - 1, axis=0).sum(axis=0)
+        g = env[inp - 1].T @ other
+        return c, g
 
 
 def _apply_operator(
@@ -186,7 +404,7 @@ def correlator_full_tensor(
     # Party operators act on disjoint qubit sets, so applying them one by
     # one to the state tensor realizes Tr[rho (O_1 O_2 ... O_N)].
     for party in range(1, topology.n_parties + 1):
-        sources = sorted(topology.incident_sources(party))
+        sources = topology.incident_sources(party)
         positions = []
         for s in sources:
             a, _ = topology.endpoints(s)
@@ -204,48 +422,6 @@ def correlator_full_tensor(
         rho_t = _apply_operator(rho_t, op, positions, n_qubits)
     full = rho_t.reshape(2**n_qubits, 2**n_qubits)
     return float(np.trace(full).real)
-
-
-def _column_factors(
-    ineq: NetworkInequality,
-    states: dict[int, TwoQubitState],
-    strategy: MeasurementStrategy,
-    j: int,
-) -> dict[int, float]:
-    """Per-source contraction factors of the column-j correlator."""
-    topology = ineq.topology
-    leaf_set = {int(p) for p in ineq.leaves.leaf_set}
-    factors = {}
-    for s in range(1, topology.n_sources + 1):
-        a, b = topology.endpoints(s)
-        if a in leaf_set or b in leaf_set:
-            leaf, partner = (a, b) if a in leaf_set else (b, a)
-            m = ineq.fcbi_map[s]
-            d = sum(
-                m.entries[x - 1, j - 1] * strategy.bloch(leaf, x, s)
-                for x in range(1, m.rows + 1)
-            )
-            v = strategy.bloch(partner, j, s)
-            corr = states[s].corr
-            factors[s] = float(d @ corr @ v) if leaf == a else float(v @ corr @ d)
-        else:
-            u = strategy.bloch(a, j, s)
-            v = strategy.bloch(b, j, s)
-            factors[s] = float(u @ states[s].corr @ v)
-    return factors
-
-
-def column_correlator(
-    ineq: NetworkInequality,
-    states: dict[int, TwoQubitState],
-    strategy: MeasurementStrategy,
-    j: int,
-) -> float:
-    """I_j via the per-source factorization."""
-    value = 1.0
-    for f in _column_factors(ineq, states, strategy, j).values():
-        value *= f
-    return value
 
 
 def column_correlator_tensor(
@@ -282,12 +458,15 @@ def evaluate_S(
     """Evaluate all columns and assemble S = sum_j |I_j|^(1/l)."""
     strategy.validate(ineq.topology, input_counts_for(ineq))
     if method == "factorized":
-        column = column_correlator
+        obj = _CrossObjective(ineq, ineq.topology, states)
+        I = obj.columns(obj.factors(obj.vectors(strategy.bloch)))
     elif method == "tensor":
-        column = column_correlator_tensor
+        I = np.array([
+            column_correlator_tensor(ineq, states, strategy, j)
+            for j in range(1, ineq.k + 1)
+        ])
     else:
         raise ValueError(f"unknown evaluation method {method!r}")
-    I = np.array([column(ineq, states, strategy, j) for j in range(1, ineq.k + 1)])
     S = float(np.abs(I) ** (1.0 / ineq.l) @ np.ones(ineq.k))
     return EvaluationResult(
         I=I,

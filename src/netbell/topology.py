@@ -60,7 +60,11 @@ class NetworkTopology:
         return self._adjacency
 
     def incident_sources(self, party: int) -> list[int]:
-        """Source indices attached to a party."""
+        """Source indices attached to a party, in ascending order.
+
+        The adjacency is filled in source order, so no sort is needed. Local
+        model response tables and the dense oracle's qubit order rely on it.
+        """
         return [s for _, s in self.adjacency[party]]
 
     def endpoints(self, source: int) -> tuple[int, int]:
@@ -90,7 +94,7 @@ class LeafAnalysis:
     @property
     def peripheral_map(self) -> dict[int, int]:
         """leaf party -> its unique incident source index."""
-        return {int(p): int(s) for p, s in zip(self.leaf_set, self.peripheral_sources)}
+        return dict(zip(self.leaf_set.tolist(), self.peripheral_sources.tolist()))
 
     @property
     def peripheral_set(self) -> set[int]:

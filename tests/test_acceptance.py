@@ -18,7 +18,6 @@ from netbell.analysis import critical_visibility_uniform, mahler_check
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.evaluator import (
     MeasurementStrategy,
-    correlator,
     correlator_full_tensor,
     evaluate_S,
     optimal_strategy,
@@ -54,6 +53,7 @@ from netbell.qstate import (
     werner,
 )
 from netbell.topology import build_topology, find_leaves
+from scalar_reference import correlator
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

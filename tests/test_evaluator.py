@@ -9,9 +9,6 @@ from netbell.evaluator import (
     MeasurementStrategy,
     QubitObservable,
     check_conditions,
-    column_correlator,
-    column_correlator_tensor,
-    correlator,
     correlator_full_tensor,
     evaluate_S,
     input_counts_for,
@@ -19,6 +16,7 @@ from netbell.evaluator import (
 )
 from netbell.fcbi import CHAINED, CHSH, custom_matrix, make_catalog
 from netbell.networks import chain_topology, chsh_inequality
+from netbell.optimizer import seesaw_network
 from netbell.qstate import (
     WernerSpec,
     classical_zz,
@@ -26,6 +24,8 @@ from netbell.qstate import (
     random_mixed,
     werner,
 )
+from netbell.topology import build_topology
+from scalar_reference import correlator
 
 
 def test_observable_validation():
@@ -72,10 +72,9 @@ def test_missing_slot_raises(six_party_ineq, phi_plus_states):
 
 def test_factorized_vs_tensor_column(six_party_ineq, phi_plus_states):
     strategy = optimal_strategy(six_party_ineq, phi_plus_states)
-    for j in (1, 2):
-        fac = column_correlator(six_party_ineq, phi_plus_states, strategy, j)
-        ten = column_correlator_tensor(six_party_ineq, phi_plus_states, strategy, j)
-        assert ten == pytest.approx(fac, abs=1e-12)
+    fac = evaluate_S(six_party_ineq, phi_plus_states, strategy).I
+    ten = evaluate_S(six_party_ineq, phi_plus_states, strategy, method="tensor").I
+    assert ten == pytest.approx(fac, abs=1e-12)
 
 
 def test_joint_observable_matches_product():
@@ -153,3 +152,56 @@ def test_conditions_fail_for_misaligned_intermediate(six_party_ineq, phi_plus_st
     rep = check_conditions(six_party_ineq, phi_plus_states, strategy)
     assert not rep.saturated
     assert rep.intermediate_residuals[2][0] > 0.5
+
+
+# -- many leaves ---------------------------------------------------------------
+
+
+def _star(leaves):
+    """CHSH inequality on a star: party 1 in the middle, source s joins leaf s + 1."""
+    return chsh_inequality(build_topology(leaves + 1, [(1, p) for p in range(2, leaves + 2)]))
+
+
+def test_many_leaf_star_saturates():
+    ineq = _star(60)
+    states = {s: max_entangled() for s in range(1, 61)}
+    result = evaluate_S(ineq, states, optimal_strategy(ineq, states))
+    assert result.S == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+def test_many_leaf_star_matches_correlator():
+    """On a star a leaf's input enters only its own source, so the Delta sum
+    of column j is E(x0) * prod_p sum_x M[x, j] E(x0 with p -> x) / E(x0)."""
+    ineq = _star(60)
+    topo = ineq.topology
+    rng = np.random.default_rng(11)
+    states = {s: random_mixed(100 + s) for s in range(1, 61)}
+    strategy = MeasurementStrategy()
+    for party, inputs in input_counts_for(ineq).items():
+        for x in range(1, inputs + 1):
+            for s in topo.incident_sources(party):
+                strategy.set(party, x, s, rng.normal(size=3))
+    m = make_catalog(CHSH).entries
+    expected = []
+    for j in (1, 2):
+        x0 = dict.fromkeys(range(1, 62), 1)
+        x0[1] = j
+        e0 = correlator(topo, states, strategy, x0)
+        column = e0
+        for leaf in range(2, 62):
+            column *= sum(
+                m[x - 1, j - 1] * correlator(topo, states, strategy, {**x0, leaf: x}) / e0
+                for x in (1, 2)
+            )
+        expected.append(column)
+    I = evaluate_S(ineq, states, strategy).I
+    assert 0 < np.max(np.abs(I)) < 1e-20
+    np.testing.assert_allclose(I, expected, rtol=1e-12, atol=0)
+
+
+def test_seesaw_many_leaf_star():
+    """A leaf with a single host source is summed into that source's operand,
+    so a 52-leaf star needs no einsum index of its own."""
+    states = {s: max_entangled() for s in range(1, 53)}
+    rep = seesaw_network(_star(52), states, restarts=1)
+    assert rep.best_value <= np.sqrt(2.0) + 1e-9

@@ -13,7 +13,7 @@ from netbell.errors import (
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
-from netbell.evaluator import MeasurementStrategy, correlator
+from netbell.evaluator import MeasurementStrategy
 from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog
 from netbell.networks import (
     chain5_strategy_for_tree5,
@@ -24,7 +24,9 @@ from netbell.networks import (
 )
 from netbell.optimizer import (
     BOUNDARY,
+    LocalModel,
     _CrossObjective,
+    _local_columns,
     classical_oracle,
     cross_evaluate,
     discriminate,
@@ -35,6 +37,7 @@ from netbell.optimizer import (
 )
 from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
 from netbell.topology import build_topology, find_leaves
+from scalar_reference import correlator, local_model_S
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +252,7 @@ def test_affine_coeffs_reproduce_columns(name):
         party, inp, source = slot
         i = source - 1
         factors = obj.factors(vecs)
-        cs, gs = obj.affine_coeffs(factors, vecs, obj.environment(factors, i), slot)
+        cs, gs = obj.affine_coeffs(vecs, obj.environment(factors, i), slot)
         for _ in range(2):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)
@@ -289,8 +292,44 @@ def test_oracle_random_zero_budget(bilocal):
 
 
 def test_contraction_leaf_cap():
-    """Each leaf needs its own einsum index; a 52-leaf star has too many."""
-    star = build_topology(53, [(1, p) for p in range(2, 54)])
-    states = {s: max_entangled() for s in range(1, 53)}
+    """Only leaves with several host sources need their own einsum index; a
+    52-leaf star target on a ring host has too many."""
+    star = chsh_inequality(build_topology(53, [(1, p) for p in range(2, 54)]))
+    ring = build_topology(53, [(p, p % 53 + 1) for p in range(1, 54)])
+    states = {s: max_entangled() for s in range(1, 54)}
     with pytest.raises(TooLargeForExhaustiveError):
-        seesaw_network(chsh_inequality(star), states, restarts=1)
+        discriminate(star, ring, states, restarts=1)
+
+
+
+@pytest.mark.parametrize("name", ["tree5", "six_party_asymmetric"])
+def test_local_columns_match_scalar_loop(name):
+    """The batched local-model loop against the scalar one, with hidden
+    alphabets of sizes 1, 2 and 3 mixed over the sources."""
+    ineq = chsh_inequality(tree5_topology()) if name == "tree5" else _asymmetric()
+    topo = ineq.topology
+    counts = {int(p): ineq.k for p in ineq.leaves.intermediate_set}
+    counts.update({int(p): ineq.leaf_fcbi(int(p)).rows for p in ineq.leaves.leaf_set})
+    rng = np.random.default_rng(6)
+    n = 5
+    sources = range(1, topo.n_sources + 1)
+    for _ in range(3):
+        cards = dict(zip(sources, rng.permutation([1 + i % 3 for i in sources]).tolist()))
+        weights = {s: rng.dirichlet(np.ones(c), size=n) for s, c in cards.items()}
+        responses = {
+            p: rng.choice([-1.0, 1.0], size=(
+                n, counts[p], int(np.prod([cards[s] for s in topo.incident_sources(p)]))
+            ))
+            for p in counts
+        }
+        batched = (np.abs(_local_columns(ineq, cards, weights, responses))
+                   ** (1.0 / ineq.l)).sum(axis=1)
+        for i in range(n):
+            model = LocalModel(
+                cardinalities=cards,
+                weights={s: w[i] for s, w in weights.items()},
+                responses={p: r[i] for p, r in responses.items()},
+            )
+            expected = local_model_S(ineq, model)
+            assert batched[i] == pytest.approx(expected, abs=1e-12)
+            assert evaluate_local_model(ineq, model) == pytest.approx(expected, abs=1e-12)

@@ -43,6 +43,24 @@ def test_adjacency_and_endpoints(six_party):
     assert six_party.incident_sources(1) == [1]
 
 
+def test_incident_sources_ascending():
+    """A random tree plus one closing edge, with the sources listed in a
+    shuffled order: every party's incident sources come out ascending."""
+    rng = np.random.default_rng(4)
+    n = 40
+    edges = [(int(rng.integers(1, i)), i) for i in range(2, n + 1)]
+    edges.append((1, n) if (1, n) not in edges else (2, n))
+    order = rng.permutation(len(edges))
+    topo = build_topology(n, [edges[i] for i in order])
+    counts = np.zeros(n + 1, dtype=int)
+    for party in range(1, n + 1):
+        sources = topo.incident_sources(party)
+        assert sources == sorted(sources)
+        assert all(party in topo.endpoints(s) for s in sources)
+        counts[party] = len(sources)
+    assert counts.sum() == 2 * len(edges)
+
+
 def test_self_loop_rejected():
     with pytest.raises(SelfLoopError):
         build_topology(3, [(1, 1), (1, 2), (2, 3)])
