@@ -43,7 +43,14 @@ _MODES = ("exhaustive", "random")
 # ---------------------------------------------------------------------------
 
 
+def _check_integral(value, what: str) -> None:
+    """Refuse what int() would truncate: booleans and non-integral numbers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _int(value, what: str, minimum: int | None = None) -> int:
+    _check_integral(value, what)
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -109,8 +116,13 @@ def _parse_topology(section) -> "NetworkTopology":
     if not isinstance(section, dict) or set(section) != {"parties", "sources"}:
         raise ConfigError("network section needs exactly {parties, sources}")
     parties = _int(section["parties"], "network parties")
+    sources = section["sources"]
+    if isinstance(sources, list):
+        for pair in sources:
+            for end in pair if isinstance(pair, list) else [pair]:
+                _check_integral(end, "source endpoint")
     try:
-        return build_topology(parties, section["sources"])
+        return build_topology(parties, sources)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad network section: {exc}") from exc
 

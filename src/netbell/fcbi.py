@@ -70,16 +70,20 @@ def sign_table(n_inputs: int, codes) -> np.ndarray:
     return 1.0 - 2.0 * ((codes[..., None] >> np.arange(n_inputs)) & 1)
 
 
+def _check_enumeration_cap(rows: int) -> None:
+    if rows > ENUMERATION_CAP_BITS:
+        raise TooLargeError(
+            f"enumeration over 2^{rows} sign assignments exceeds the cap"
+        )
+
+
 def classical_bound(entries) -> float:
     """Exact classical bound: max over A_x = +/-1 of sum_y |sum_x M[x,y] A_x|."""
     m = np.asarray(entries, dtype=float)
     rows = m.shape[0]
     if m.size == 0:
         raise TooLargeError("coefficient matrix must be non-empty")
-    if rows > ENUMERATION_CAP_BITS:
-        raise TooLargeError(
-            f"enumeration over 2^{rows} sign assignments exceeds the cap"
-        )
+    _check_enumeration_cap(rows)
     # Code c = low + (high << n_low): each value of the high bits shifts the
     # same table of low-row sums.
     n_low = min(rows, SIGN_BLOCK_BITS)
@@ -138,6 +142,9 @@ def make_catalog(tag: str, k: int | None = None) -> CoefficientMatrix:
     elif tag == CHAINED:
         if k is None or k < 2:
             raise BadKError("chained inequality needs k >= 2")
+        # The enumeration below checks this too, but only after the k x k
+        # matrix is allocated.
+        _check_enumeration_cap(k)
         entries = chained_matrix(k)
         beta, opt, kp = float(k - 1), k * np.cos(np.pi / (2 * k)), k
     elif tag == EBI:

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DisconnectedError,
@@ -111,8 +109,9 @@ def build_topology(
         edges: iterable of (a, b) party-index pairs; entry j is source j+1.
         allow_disconnected: downgrade the connectivity failure to a warning.
 
-    Validation costs one O(M log M) sort of int64 keys, one per source, plus
-    O(N + M) passes for the range, degree and connectivity checks. More than
+    Validation costs one O(M log M) sort of int64 keys, one per source,
+    O(N + M) passes for the range and degree checks, and a few O(N + M)
+    union-find passes for connectivity (see ``_count_components``). More than
     2M parties always leaves one isolated; that case is refused from the
     endpoints alone, so time and memory never scale with an N above 2M.
 
@@ -161,10 +160,7 @@ def build_topology(
         missing = int(np.flatnonzero(degrees == 0)[0]) + 1
         raise IsolatedPartyError(f"party {missing} is attached to no source")
 
-    graph = coo_matrix(
-        (np.ones(m), (arr[:, 0] - 1, arr[:, 1] - 1)), shape=(n_parties, n_parties)
-    )
-    n_comp, _ = connected_components(graph, directed=False)
+    n_comp = _count_components(n_parties, arr)
     if n_comp > 1:
         if allow_disconnected:
             warnings.warn(
@@ -177,6 +173,33 @@ def build_topology(
             )
 
     return NetworkTopology(n_parties=n_parties, edges=arr, degrees=degrees)
+
+
+def _count_components(n_parties: int, edges: np.ndarray) -> int:
+    """Number of connected components of parties 1..n_parties.
+
+    Union-find by minimum label (Shiloach and Vishkin, J. Algorithms 3, 57,
+    1982). Each round keeps the sources whose endpoint roots still differ,
+    hooks the larger root onto the smallest root it meets, then jumps
+    pointers until every party points at its root. A label never exceeds
+    its index, so hooking creates no cycle, and every round with a live
+    source removes at least one root.
+    """
+    label = np.arange(n_parties + 1)
+    a, b = edges[:, 0], edges[:, 1]
+    while True:
+        la, lb = label[a], label[b]
+        live = la != lb
+        if not live.any():
+            break
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return int(np.count_nonzero(label[1:] == np.arange(1, n_parties + 1)))
 
 
 def find_leaves(topology: NetworkTopology) -> LeafAnalysis:

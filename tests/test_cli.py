@@ -26,6 +26,16 @@ def run_cli(*argv):
     return proc
 
 
+def test_cli_import_loads_no_scipy():
+    """The CLI depends on numpy alone; importing scipy would more than double
+    the start-up time of every command."""
+    code = ("import sys, netbell.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_analyze_tree5():
     proc = run_cli("analyze", f"{CONFIG_DIR}/tree5.json")
     assert proc.returncode == 0
@@ -222,7 +232,16 @@ MALFORMED = {
     "state_unknown_source": ("bounds", lambda c: c["states"].update({"3": {"type": "max_entangled"}})),
     "matrix_nan": ("bounds", lambda c: c["states"].update({"1": {
         "type": "matrix", "matrix": [[float("nan")] * 4] * 4}})),
+    # Refused before the 10^6 x 10^6 coefficient matrix is allocated.
+    "chained_huge": ("build", lambda c: c["inequality"]["fcbi"].update(
+        {"1": {"chained": 1_000_000}})),
+    # int() would truncate these to k = 2, 3 parties and source [1, 2].
+    "k_fraction": ("build", lambda c: c["inequality"].update(k=2.7)),
+    "parties_fraction": ("analyze", lambda c: c["network"].update(parties=3.9)),
+    "source_fraction": ("analyze", lambda c: c["network"].update(sources=[[1.5, 2], [2, 3]])),
 }
+# The error each malformed config reports, where it is not ConfigError.
+MALFORMED_ERRORS = {"chained_huge": "TooLargeError"}
 
 
 @pytest.mark.parametrize("name", [*MALFORMED, "random_budget_zero"])
@@ -244,7 +263,7 @@ def test_contract_faults(name, tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert strict_json(lines[0])["error"] == "ConfigError"
+    assert strict_json(lines[0])["error"] == MALFORMED_ERRORS.get(name, "ConfigError")
     assert proc.stdout == ""
 
 

@@ -1,8 +1,11 @@
+import time
 import tracemalloc
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netbell.errors import (
@@ -124,6 +127,80 @@ def test_disconnected():
     with pytest.warns(UserWarning):
         topo = build_topology(4, [(1, 2), (3, 4)], allow_disconnected=True)
     assert topo.n_sources == 2
+
+
+def _permuted_chain_edges(n, seed):
+    # A chain visiting the parties in random order. Of the 10^6-party shapes
+    # tried, min-label union-find needs the most hooking rounds on it (12,
+    # against 1 on the ordered chain).
+    order = np.random.default_rng(seed).permutation(n) + 1
+    return np.stack([order[:-1], order[1:]], axis=1)
+
+
+def test_permuted_chain_builds_in_time():
+    n = 1_000_000
+    edges = _permuted_chain_edges(n, 2)
+    start = time.perf_counter()
+    topo = build_topology(n, edges)
+    elapsed = time.perf_counter() - start
+    assert find_leaves(topo).l == 2
+    assert elapsed < 1.0
+
+
+def test_permuted_chain_missing_source_disconnected():
+    n = 1_000_000
+    edges = np.delete(_permuted_chain_edges(n, 2), n // 2, axis=0)
+    with pytest.raises(DisconnectedError, match="^network has 2 connected components;"):
+        build_topology(n, edges)
+
+
+def _bfs_components(n, edges):
+    """Reference component count: breadth-first search over parties 1..n."""
+    adjacent = {p: [] for p in range(1, n + 1)}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = set()
+    count = 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for q in adjacent[queue.popleft()]:
+                if q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+    return count
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_component_count_matches_bfs(pairs):
+    """Random edge lists with no self-loop, repeated pair or isolated party:
+    the error and the warning name the component count a BFS finds."""
+    pairs = list({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
+    assume(pairs)
+    # Renumber the touched parties 1..n, so that no party is isolated.
+    parties, index = np.unique(pairs, return_inverse=True)
+    n = parties.size
+    edges = index.reshape(-1, 2) + 1
+    n_comp = _bfs_components(n, edges.tolist())
+    if n_comp == 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_topology(n, edges, allow_disconnected=True)
+        return
+    with pytest.raises(
+        DisconnectedError,
+        match=f"^network has {n_comp} connected components; pass allow_disconnected to keep it$",
+    ):
+        build_topology(n, edges)
+    with pytest.warns(UserWarning, match=f"^network has {n_comp} connected components$"):
+        topo = build_topology(n, edges, allow_disconnected=True)
+    assert topo.n_sources == len(pairs)
 
 
 def _random_tree_edges(n, rng):
