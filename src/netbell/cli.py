@@ -60,7 +60,16 @@ def _int(value, what: str, minimum: int | None = None) -> int:
     return out
 
 
+def _nests_bool(value) -> bool:
+    """True for a JSON boolean or an array that holds one at any depth."""
+    if isinstance(value, list):
+        return any(_nests_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _float(value, what: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -71,6 +80,8 @@ def _float(value, what: str) -> float:
 
 
 def _array(value, what: str) -> np.ndarray:
+    if _nests_bool(value):
+        raise ConfigError(f"{what} must be an array of numbers, got {value!r}")
     try:
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):

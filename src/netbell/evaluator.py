@@ -8,10 +8,12 @@ vectors per input of each endpoint, and all k columns come from one
 np.einsum. `evaluate_S`, `optimizer.cross_evaluate` and the network
 see-saw all call it.
 
-`evaluate_S(method="tensor")` is the independent oracle for M <= 6
-sources: it builds the explicit 2^(2M)-dimensional operators, traces them
-against the global state, and also accepts joint (possibly entangled)
-party observables.
+`evaluate_S(method="tensor")` is the independent oracle for up to
+MAX_ORACLE_SOURCES = 13 sources. One einsum traces the 4x4 source density
+matrices against the party operators, each leaf measuring its Delta
+operator, without forming either tensor product; it also accepts joint
+(possibly entangled) party observables. It reads density matrices and
+operators only, none of the Bloch data the engine contracts.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class MeasurementStrategy:
     """Per (party, input, incident source) qubit observables.
 
     slots maps (party, input, source) -> QubitObservable. For research use
-    the full-tensor path also honors joint_observables, mapping
+    the operator-level oracle also honors joint_observables, mapping
     (party, input) -> an explicit Hermitian +/-1-eigenvalue matrix on all of
     that party's qubits (ordered by ascending source index); parties with a
     joint override must not appear in slots.
@@ -372,14 +374,46 @@ class _CrossObjective:
         return c, g
 
 
-def _apply_operator(
-    rho_t: np.ndarray, op: np.ndarray, positions: list[int], n_qubits: int
-) -> np.ndarray:
-    """Left-multiply an operator on `positions` into a (2,)*2n state tensor."""
-    m = len(positions)
-    op_t = op.reshape((2,) * (2 * m))
-    out = np.tensordot(op_t, rho_t, axes=(list(range(m, 2 * m)), positions))
-    return np.moveaxis(out, range(m), positions)
+# Four einsum indices per source, a row and a column for each qubit, of numpy's 52.
+MAX_ORACLE_SOURCES = 13
+
+
+def _party_operator(topology, strategy, party: int, inp: int) -> np.ndarray:
+    """The party's operator for one input, on its qubits in ascending source order."""
+    sources = topology.incident_sources(party)
+    if (party, inp) in strategy.joint_observables:
+        op = np.asarray(strategy.joint_observables[(party, inp)], dtype=complex)
+        if op.shape != (2 ** len(sources), 2 ** len(sources)):
+            raise IncompleteStrategyError(
+                f"joint observable for party {party} has wrong dimension"
+            )
+        return op
+    op = np.array([[1.0 + 0j]])
+    for s in sources:
+        op = np.kron(op, bloch_matrix(strategy.bloch(party, inp, s)))
+    return op
+
+
+def _network_trace(topology, states, operator) -> float:
+    """Tr[(rho_1 x ... x rho_M)(O_1 x ... x O_N)] as one einsum, O_p = operator(p).
+    Qubit q = 2(s - 1) + side of source s (side 0 is its first party) has row
+    index 2q and column index 2q + 1; operator rows meet state columns."""
+    m = topology.n_sources
+    if m > MAX_ORACLE_SOURCES:
+        raise TooLargeForExhaustiveError(
+            f"{m} sources exceed the operator-level oracle's limit of "
+            f"{MAX_ORACLE_SOURCES}"
+        )
+    operands = []
+    for s in range(1, m + 1):
+        r = 4 * (s - 1)
+        operands += [states[s].matrix.reshape(2, 2, 2, 2), [r, r + 2, r + 1, r + 3]]
+    for party in range(1, topology.n_parties + 1):
+        sources = topology.incident_sources(party)
+        qubits = [2 * s - 2 + (topology.endpoints(s)[0] != party) for s in sources]
+        op = operator(party).reshape((2,) * (2 * len(qubits)))
+        operands += [op, [2 * q + 1 for q in qubits] + [2 * q for q in qubits]]
+    return float(np.einsum(*operands, [], optimize=True).real)
 
 
 def correlator_full_tensor(
@@ -388,40 +422,11 @@ def correlator_full_tensor(
     strategy: MeasurementStrategy,
     x: dict[int, int],
 ) -> float:
-    """Explicit-trace correlator over the 2^(2M)-dimensional network state.
-
-    Qubit order: (source 1 side A, source 1 side B, source 2 side A, ...),
-    where side A belongs to the first party of the edge pair. Supports
-    joint party observables; intended for M <= 6.
-    """
-    m = topology.n_sources
-    n_qubits = 2 * m
-    rho = np.array([[1.0 + 0j]])
-    for j in range(1, m + 1):
-        rho = np.kron(rho, states[j].matrix)
-    rho_t = rho.reshape((2,) * (2 * n_qubits))
-
-    # Party operators act on disjoint qubit sets, so applying them one by
-    # one to the state tensor realizes Tr[rho (O_1 O_2 ... O_N)].
-    for party in range(1, topology.n_parties + 1):
-        sources = topology.incident_sources(party)
-        positions = []
-        for s in sources:
-            a, _ = topology.endpoints(s)
-            positions.append(2 * (s - 1) + (0 if a == party else 1))
-        if (party, x[party]) in strategy.joint_observables:
-            op = np.asarray(strategy.joint_observables[(party, x[party])], dtype=complex)
-            if op.shape != (2 ** len(sources), 2 ** len(sources)):
-                raise IncompleteStrategyError(
-                    f"joint observable for party {party} has wrong dimension"
-                )
-        else:
-            op = np.array([[1.0 + 0j]])
-            for s in sources:
-                op = np.kron(op, bloch_matrix(strategy.bloch(party, x[party], s)))
-        rho_t = _apply_operator(rho_t, op, positions, n_qubits)
-    full = rho_t.reshape(2**n_qubits, 2**n_qubits)
-    return float(np.trace(full).real)
+    """Operator-level correlator of one input assignment (oracle); supports
+    joint party observables and up to MAX_ORACLE_SOURCES sources."""
+    return _network_trace(
+        topology, states, lambda p: _party_operator(topology, strategy, p, x[p])
+    )
 
 
 def column_correlator_tensor(
@@ -430,22 +435,18 @@ def column_correlator_tensor(
     strategy: MeasurementStrategy,
     j: int,
 ) -> float:
-    """I_j by expanding the Delta sums and tracing the full tensor (oracle)."""
-    leaf_list = [int(p) for p in ineq.leaves.leaf_set]
-    matrices = [ineq.leaf_fcbi(p) for p in leaf_list]
-    base = {int(p): j for p in ineq.leaves.intermediate_set}
-    total = 0.0
-    shape = [m.rows for m in matrices]
-    for combo in np.ndindex(*shape):
-        coeff = 1.0
-        x = dict(base)
-        for leaf, m, c in zip(leaf_list, matrices, combo):
-            coeff *= m.entries[c, j - 1]
-            x[leaf] = c + 1
-        if coeff == 0.0:
-            continue
-        total += coeff * correlator_full_tensor(ineq.topology, states, strategy, x)
-    return total
+    """I_j as one trace (oracle): by linearity each leaf measures its Delta
+    operator sum_x M[x, j] A_x and each intermediate party measures input j."""
+    topo, leaves = ineq.topology, ineq.leaves.peripheral_map
+
+    def operator(p: int) -> np.ndarray:
+        if p not in leaves:
+            return _party_operator(topo, strategy, p, j)
+        m = ineq.leaf_fcbi(p)
+        ops = [_party_operator(topo, strategy, p, x) for x in range(1, m.rows + 1)]
+        return np.tensordot(m.entries[:, j - 1], ops, axes=1)
+
+    return _network_trace(topo, states, operator)
 
 
 def evaluate_S(

@@ -61,7 +61,7 @@ class NetworkTopology:
         """Source indices attached to a party, in ascending order.
 
         The adjacency is filled in source order, so no sort is needed. Local
-        model response tables and the dense oracle's qubit order rely on it.
+        model response tables and the operator-level oracle's qubit order rely on it.
         """
         return [s for _, s in self.adjacency[party]]
 
@@ -99,6 +99,26 @@ class LeafAnalysis:
         return {int(s) for s in self.peripheral_sources}
 
 
+def _party_pairs(edges) -> np.ndarray:
+    """``edges`` as an (M, 2) int64 array.
+
+    Booleans and non-integral numbers, which the int64 cast would truncate
+    to a valid-looking party, are refused like a malformed shape.
+    """
+    arr = np.asarray(edges)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
+        raise IndexOutOfRangeError("edges must be a non-empty list of party pairs")
+    if isinstance(edges, np.ndarray):
+        bools = arr.dtype.kind == "b"
+    else:
+        bools = any(isinstance(v, (bool, np.bool_)) for pair in edges for v in pair)
+    if bools or (arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr))):
+        raise IndexOutOfRangeError(
+            "party indices must be integers, not booleans or fractions"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
 def build_topology(
     n_parties: int, edges, *, allow_disconnected: bool = False
 ) -> NetworkTopology:
@@ -116,16 +136,15 @@ def build_topology(
     endpoints alone, so time and memory never scale with an N above 2M.
 
     Raises:
-        IndexOutOfRangeError: empty or malformed ``edges``, a party index
-            outside [1, n_parties], or ``n_parties`` outside
+        IndexOutOfRangeError: empty or malformed ``edges`` (booleans and
+            non-integral party indices included), a party index outside
+            [1, n_parties], or ``n_parties`` outside
             [1, MAX_PARTIES], the range in which the int64 duplicate key
             ``a * (n_parties + 1) + b`` is exact.
         SelfLoopError, DuplicateEdgeError, IsolatedPartyError,
         DisconnectedError.
     """
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise IndexOutOfRangeError("edges must be a non-empty list of party pairs")
+    arr = _party_pairs(edges)
     if n_parties < 1:
         raise IndexOutOfRangeError("n_parties must be positive")
     if n_parties > MAX_PARTIES:

@@ -239,6 +239,14 @@ MALFORMED = {
     "k_fraction": ("build", lambda c: c["inequality"].update(k=2.7)),
     "parties_fraction": ("analyze", lambda c: c["network"].update(parties=3.9)),
     "source_fraction": ("analyze", lambda c: c["network"].update(sources=[[1.5, 2], [2, 3]])),
+    # float() would read these booleans as 1.0 and 0.0.
+    "werner_v_bool": ("bounds", lambda c: c["states"]["1"].update(v=True)),
+    "custom_entry_bool": ("build", lambda c: c["inequality"]["fcbi"].update(
+        {"1": {"custom": [[True, 0.5], [0.5, False]]}})),
+    "tol_bool": ("bounds", lambda c: c["options"].update(tol=True)),
+    "matrix_entry_bool": ("bounds", lambda c: c["states"].update({"1": {
+        "type": "matrix", "matrix": [[True, 0, 0, 0], [0, False, 0, 0],
+                                     [0, 0, 0, 0], [0, 0, 0, [False, 0]]]}})),
 }
 # The error each malformed config reports, where it is not ConfigError.
 MALFORMED_ERRORS = {"chained_huge": "TooLargeError"}

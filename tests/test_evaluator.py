@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from netbell.builder import build_inequality
-from netbell.errors import IncompleteStrategyError, UnsupportedFcbiError
+from netbell.errors import (
+    IncompleteStrategyError,
+    TooLargeForExhaustiveError,
+    UnsupportedFcbiError,
+)
 from netbell.evaluator import (
     SIGMA_X,
     SIGMA_Z,
@@ -24,7 +30,7 @@ from netbell.qstate import (
     random_mixed,
     werner,
 )
-from netbell.topology import build_topology
+from netbell.topology import build_topology, find_leaves
 from scalar_reference import correlator
 
 
@@ -75,6 +81,84 @@ def test_factorized_vs_tensor_column(six_party_ineq, phi_plus_states):
     fac = evaluate_S(six_party_ineq, phi_plus_states, strategy).I
     ten = evaluate_S(six_party_ineq, phi_plus_states, strategy, method="tensor").I
     assert ten == pytest.approx(fac, abs=1e-12)
+
+
+def _random_strategy(ineq, rng) -> MeasurementStrategy:
+    strategy = MeasurementStrategy()
+    for party, inputs in input_counts_for(ineq).items():
+        for x in range(1, inputs + 1):
+            for s in ineq.topology.incident_sources(party):
+                strategy.set(party, x, s, rng.normal(size=3))
+    return strategy
+
+
+def _random_network(n_sources: int, rng):
+    """A random tree plus up to two extra sources between its inner parties,
+    so the tree's leaves stay leaves; CHSH or chained-3 on the peripheral
+    sources."""
+    pairs, extra = [], 1
+    while len(pairs) < extra:
+        extra = int(rng.integers(0, 3))
+        n = n_sources + 1 - extra
+        edges = [(int(rng.integers(1, p)), p) for p in range(2, n + 1)]
+        degree = np.bincount(np.ravel(edges), minlength=n + 1)
+        inner = [p for p in range(1, n + 1) if degree[p] > 1]
+        taken = {frozenset(e) for e in edges}
+        pairs = [(a, b) for a in inner for b in inner if a < b and {a, b} not in taken]
+    for i in rng.permutation(len(pairs))[:extra]:
+        edges.append(pairs[i])
+    topo = build_topology(n, edges)
+    k, fcbi = (2, make_catalog(CHSH)) if rng.random() < 0.5 else (3, make_catalog(CHAINED, 3))
+    return build_inequality(topo, k, dict.fromkeys(find_leaves(topo).peripheral_set, fcbi))
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_tensor_oracle_matches_engine_on_generated_networks(seed):
+    """The operator-level oracle equals the Bloch-algebra engine on generated
+    networks with 7 to 13 sources, random mixed states and strategies."""
+    rng = np.random.default_rng([8, seed])
+    ineq = _random_network(7 + seed % 7, rng)
+    m = ineq.topology.n_sources
+    assert 7 <= m <= 13
+    states = {s: random_mixed(int(rng.integers(0, 2**31))) for s in range(1, m + 1)}
+    strategy = _random_strategy(ineq, rng)
+    fac = evaluate_S(ineq, states, strategy).I
+    ten = evaluate_S(ineq, states, strategy, method="tensor").I
+    np.testing.assert_allclose(ten, fac, rtol=1e-12, atol=0)
+
+
+def test_tensor_oracle_refuses_fourteen_sources():
+    ineq = chsh_inequality(chain_topology(15))
+    states = {s: max_entangled() for s in range(1, 15)}
+    strategy = optimal_strategy(ineq, states)
+    with pytest.raises(TooLargeForExhaustiveError, match="^14 sources"):
+        evaluate_S(ineq, states, strategy, method="tensor")
+
+
+def test_joint_observable_column_matches_engine(six_party_ineq):
+    """Party 6 (sources 4 and 6) measured through joint observables equal to
+    the kron of its slot observables gives the engine's columns."""
+    rng = np.random.default_rng(6)
+    states = {s: random_mixed(60 + s) for s in range(1, 7)}
+    strategy = _random_strategy(six_party_ineq, rng)
+    fac = evaluate_S(six_party_ineq, states, strategy).I
+    assert six_party_ineq.topology.incident_sources(6) == [4, 6]
+    for j in range(1, six_party_ineq.k + 1):
+        a, b = (strategy.slots.pop((6, j, s)) for s in (4, 6))
+        strategy.joint_observables[(6, j)] = np.kron(a.matrix, b.matrix)
+    ten = evaluate_S(six_party_ineq, states, strategy, method="tensor").I
+    np.testing.assert_allclose(ten, fac, rtol=1e-12, atol=0)
+
+
+def test_tensor_oracle_memory(six_party_ineq, phi_plus_states):
+    strategy = optimal_strategy(six_party_ineq, phi_plus_states)
+    tracemalloc.start()
+    try:
+        evaluate_S(six_party_ineq, phi_plus_states, strategy, method="tensor")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_joint_observable_matches_product():
@@ -176,11 +260,7 @@ def test_many_leaf_star_matches_correlator():
     topo = ineq.topology
     rng = np.random.default_rng(11)
     states = {s: random_mixed(100 + s) for s in range(1, 61)}
-    strategy = MeasurementStrategy()
-    for party, inputs in input_counts_for(ineq).items():
-        for x in range(1, inputs + 1):
-            for s in topo.incident_sources(party):
-                strategy.set(party, x, s, rng.normal(size=3))
+    strategy = _random_strategy(ineq, rng)
     m = make_catalog(CHSH).entries
     expected = []
     for j in (1, 2):

@@ -91,6 +91,16 @@ def test_out_of_range_rejected():
         build_topology(3, [(1, 2), (2, 4)])
     with pytest.raises(IndexOutOfRangeError):
         build_topology(3, [])
+    # Booleans and fractions, which an int64 cast would truncate, are refused
+    # as such: the first three would otherwise build [[1, 2], [2, 3]].
+    for edges in ([(1.5, 2), (2, 3)], [(True, 2), (2, 3)], [(1, 2), (2, 3.0000001)],
+                  np.array([[1.5, 2], [2, 3]]), np.array([[True, False], [False, True]])):
+        with pytest.raises(IndexOutOfRangeError, match="must be integers"):
+            build_topology(3, edges)
+    # Integral numbers of any type still build the same network.
+    for edges in ([(1, 2), (2, 3)], np.array([[1, 2], [2, 3]]), np.array([[1.0, 2.0], [2.0, 3.0]]),
+                  [(np.int32(1), 2), (2, 3)]):
+        assert build_topology(3, edges).edges.tolist() == [[1, 2], [2, 3]]
     # Past MAX_PARTIES the int64 duplicate key a * (N + 1) + b could overflow.
     int64_max = np.iinfo(np.int64).max
     assert MAX_PARTIES * (MAX_PARTIES + 2) <= int64_max < (MAX_PARTIES + 1) * (MAX_PARTIES + 3)
