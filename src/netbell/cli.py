@@ -35,6 +35,8 @@ from .topology import build_topology, find_leaves
 _TOP_KEYS = {"network", "inequality", "states", "strategy", "options", "host_network"}
 _OPTION_KEYS = {"seed", "restarts", "budget", "tol", "mode"}
 _MODES = ("exhaustive", "random")
+# Schmidt coefficient of a maximally entangled state, as a Python float.
+_MAX_SCHMIDT = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -43,52 +45,44 @@ _MODES = ("exhaustive", "random")
 # ---------------------------------------------------------------------------
 
 
-def _check_integral(value, what: str) -> None:
-    """Refuse what int() would truncate: booleans and non-integral numbers."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+def _is_number(value) -> bool:
+    """A JSON number a float holds finitely: an int or a float exactly, so
+    booleans and numeric strings are refused, and no NaN or infinity."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _int(value, what: str, minimum: int | None = None) -> int:
-    _check_integral(value, what)
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    if not (_is_number(value) and value == int(value)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    out = int(value)
     if minimum is not None and out < minimum:
         raise ConfigError(f"{what} must be at least {minimum}, got {out}")
     return out
 
 
-def _nests_bool(value) -> bool:
-    """True for a JSON boolean or an array that holds one at any depth."""
-    if isinstance(value, list):
-        return any(_nests_bool(v) for v in value)
-    return isinstance(value, bool)
+def _key(value: str, what: str) -> int:
+    """A JSON object key naming a source, party or input: decimal digits."""
+    if not (value.isascii() and value.isdigit()):
+        raise ConfigError(f"{what} must be a decimal integer, got {value!r}")
+    return int(value)
 
 
 def _float(value, what: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return out
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _array(value, what: str) -> np.ndarray:
-    if _nests_bool(value):
-        raise ConfigError(f"{what} must be an array of numbers, got {value!r}")
+    def numbers(v):
+        return type(v) is list and all(numbers(x) or _is_number(x) for x in v)
+
+    if not numbers(value):
+        raise ConfigError(f"{what} must be an array of finite numbers, got {value!r}")
     try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an array of numbers, got {value!r}") from None
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"{what} must have finite entries, got {value!r}")
-    return out
+        return np.array(value, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{what} must be a rectangular array, got {value!r}") from None
 
 
 def _object(value, what: str) -> dict:
@@ -127,13 +121,8 @@ def _parse_topology(section) -> "NetworkTopology":
     if not isinstance(section, dict) or set(section) != {"parties", "sources"}:
         raise ConfigError("network section needs exactly {parties, sources}")
     parties = _int(section["parties"], "network parties")
-    sources = section["sources"]
-    if isinstance(sources, list):
-        for pair in sources:
-            for end in pair if isinstance(pair, list) else [pair]:
-                _check_integral(end, "source endpoint")
     try:
-        return build_topology(parties, sources)
+        return build_topology(parties, section["sources"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad network section: {exc}") from exc
 
@@ -158,17 +147,17 @@ def _parse_inequality(config: dict, topology):
     if not isinstance(section, dict) or set(section) != {"k", "fcbi"}:
         raise ConfigError("inequality section needs exactly {k, fcbi}")
     fcbi_map = {
-        _int(source, "fcbi source"): _parse_fcbi(spec)
+        _key(source, "fcbi source"): _parse_fcbi(spec)
         for source, spec in _object(section["fcbi"], "fcbi").items()
     }
     return build_inequality(topology, _int(section["k"], "k"), fcbi_map)
 
 
 def _complex_entry(value):
-    if isinstance(value, (int, float)):
-        return complex(_float(value, "matrix entry"))
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_float(value[0], "matrix entry"), _float(value[1], "matrix entry"))
+    if _is_number(value):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+        return complex(*value)
     raise ConfigError(f"matrix entries must be numbers or [re, im], got {value!r}")
 
 
@@ -182,11 +171,11 @@ def _parse_state(spec):
         return werner(
             WernerSpec(
                 v=_float(spec.get("v", 1.0), "werner v"),
-                schmidt_a=_float(spec.get("schmidt_a", 1.0 / np.sqrt(2.0)), "schmidt_a"),
+                schmidt_a=_float(spec.get("schmidt_a", _MAX_SCHMIDT), "schmidt_a"),
             )
         )
     if kind == "pure":
-        return pure_schmidt(_float(spec.get("schmidt_a", 1.0 / np.sqrt(2.0)), "schmidt_a"))
+        return pure_schmidt(_float(spec.get("schmidt_a", _MAX_SCHMIDT), "schmidt_a"))
     if kind == "classical_zz":
         return classical_zz()
     if kind == "product_00":
@@ -207,7 +196,7 @@ def _parse_states(config: dict, topology, default=None) -> dict:
     default(), or is an error when no default is given."""
     section = config.get("states", {}) if default else _require(config, "states")
     states = {
-        _int(s, "state source"): _parse_state(spec)
+        _key(s, "state source"): _parse_state(spec)
         for s, spec in _object(section, "states").items()
     }
     sources = set(range(1, topology.n_sources + 1))
@@ -234,9 +223,9 @@ def _parse_strategy(config: dict):
             for inp, sources in _object(inputs, "strategy inputs").items():
                 for source, vec in _object(sources, "strategy sources").items():
                     strategy.set(
-                        _int(party, "strategy party"),
-                        _int(inp, "strategy input"),
-                        _int(source, "strategy source"),
+                        _key(party, "strategy party"),
+                        _key(inp, "strategy input"),
+                        _key(source, "strategy source"),
                         _array(vec, "Bloch vector"),
                     )
     except ValueError as exc:

@@ -5,99 +5,75 @@ class NetbellError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class TopologyError(NetbellError):
+class SelfLoopError(NetbellError):
     pass
 
 
-class SelfLoopError(TopologyError):
+class DuplicateEdgeError(NetbellError):
     pass
 
 
-class DuplicateEdgeError(TopologyError):
+class IndexOutOfRangeError(NetbellError):
     pass
 
 
-class IndexOutOfRangeError(TopologyError):
+class DisconnectedError(NetbellError):
     pass
 
 
-class DisconnectedError(TopologyError):
+class IsolatedPartyError(NetbellError):
     pass
 
 
-class IsolatedPartyError(TopologyError):
+class BadKError(NetbellError):
     pass
 
 
-class FcbiError(NetbellError):
-    pass
-
-
-class BadKError(FcbiError):
-    pass
-
-
-class TooLargeError(FcbiError):
+class TooLargeError(NetbellError):
     """Enumeration problem exceeds the configured cap."""
 
 
-class StateError(NetbellError):
+class NotAStateError(NetbellError):
     pass
 
 
-class NotAStateError(StateError):
+class BadVisibilityError(NetbellError):
     pass
 
 
-class BadVisibilityError(StateError):
+class BadSchmidtError(NetbellError):
     pass
 
 
-class BadSchmidtError(StateError):
+class TooFewLeavesError(NetbellError):
     pass
 
 
-class BuildError(NetbellError):
+class MissingFcbiError(NetbellError):
     pass
 
 
-class TooFewLeavesError(BuildError):
+class ColumnMismatchError(NetbellError):
     pass
 
 
-class MissingFcbiError(BuildError):
+class LeafPairSourceError(NetbellError):
     pass
 
 
-class ColumnMismatchError(BuildError):
-    pass
-
-
-class LeafPairSourceError(BuildError):
-    pass
-
-
-class DegenerateBipartiteError(BuildError):
+class DegenerateBipartiteError(NetbellError):
     """A two-party network is a plain bipartite Bell test, not a network inequality."""
 
 
-class EvaluationError(NetbellError):
+class IncompleteStrategyError(NetbellError):
     pass
 
 
-class IncompleteStrategyError(EvaluationError):
+class UnsupportedFcbiError(NetbellError):
     pass
 
 
-class UnsupportedFcbiError(EvaluationError):
-    pass
-
-
-class SearchError(NetbellError):
-    pass
-
-
-class NonConvergenceError(SearchError):
+class NonConvergenceError(NetbellError):
     """Optimizer failed to converge; carries the best value found."""
 
     def __init__(self, message, best_value=None):
@@ -105,27 +81,23 @@ class NonConvergenceError(SearchError):
         self.best_value = best_value
 
 
-class TooLargeForExhaustiveError(SearchError):
+class TooLargeForExhaustiveError(NetbellError):
     pass
 
 
-class BadRestartsError(SearchError):
+class BadRestartsError(NetbellError):
     """A see-saw search was asked for fewer than one restart."""
 
 
-class PartyCountMismatchError(SearchError):
+class PartyCountMismatchError(NetbellError):
     pass
 
 
-class AnalysisError(NetbellError):
+class NegativeEntryError(NetbellError):
     pass
 
 
-class NegativeEntryError(AnalysisError):
-    pass
-
-
-class UnsupportedMapError(AnalysisError):
+class UnsupportedMapError(NetbellError):
     pass
 
 

@@ -103,19 +103,30 @@ def _party_pairs(edges) -> np.ndarray:
     """``edges`` as an (M, 2) int64 array.
 
     Booleans and non-integral numbers, which the int64 cast would truncate
-    to a valid-looking party, are refused like a malformed shape.
+    to a valid-looking party, are refused like a malformed shape, and so are
+    infinities and entries that are not numbers (strings, None, objects),
+    which the cast would parse or fail on.
     """
     arr = np.asarray(edges)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise IndexOutOfRangeError("edges must be a non-empty list of party pairs")
-    if isinstance(edges, np.ndarray):
-        bools = arr.dtype.kind == "b"
-    else:
-        bools = any(isinstance(v, (bool, np.bool_)) for pair in edges for v in pair)
-    if bools or (arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr))):
+    kind = arr.dtype.kind
+    # A list mixing booleans and ints casts to an int array, so scan lists.
+    bools = not isinstance(edges, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for pair in edges for v in pair
+    )
+    if (
+        bools
+        or kind not in "iuf"
+        or (kind == "f" and not np.all(np.isfinite(arr) & (arr == np.trunc(arr))))
+    ):
         raise IndexOutOfRangeError(
-            "party indices must be integers, not booleans or fractions"
+            "party indices must be integers, not booleans, fractions or strings"
         )
+    if kind == "f":
+        # Past MAX_PARTIES an index is out of range for every network; the
+        # clip keeps the int64 cast exact and leaves it to the range check.
+        arr = np.clip(arr, 0, MAX_PARTIES + 1)
     return arr.astype(np.int64, copy=False)
 
 
@@ -136,9 +147,9 @@ def build_topology(
     endpoints alone, so time and memory never scale with an N above 2M.
 
     Raises:
-        IndexOutOfRangeError: empty or malformed ``edges`` (booleans and
-            non-integral party indices included), a party index outside
-            [1, n_parties], or ``n_parties`` outside
+        IndexOutOfRangeError: empty or malformed ``edges`` (booleans,
+            non-integral and non-numeric party indices included), a party
+            index outside [1, n_parties], or ``n_parties`` outside
             [1, MAX_PARTIES], the range in which the int64 duplicate key
             ``a * (n_parties + 1) + b`` is exact.
         SelfLoopError, DuplicateEdgeError, IsolatedPartyError,

@@ -247,9 +247,30 @@ MALFORMED = {
     "matrix_entry_bool": ("bounds", lambda c: c["states"].update({"1": {
         "type": "matrix", "matrix": [[True, 0, 0, 0], [0, False, 0, 0],
                                      [0, 0, 0, 0], [0, 0, 0, [False, 0]]]}})),
+    # float() and int() would parse these numeric strings.
+    "werner_v_numeric_string": ("bounds", lambda c: c["states"]["1"].update(v="0.5")),
+    "k_numeric_string": ("build", lambda c: c["inequality"].update(k="2")),
+    "parties_numeric_string": ("build", lambda c: c["network"].update(parties="3")),
+    "custom_entry_numeric_string": ("build", lambda c: c["inequality"]["fcbi"].update(
+        {"1": {"custom": [["0.5", "0.5"], ["0.5", "-0.5"]]}})),
+    "source_string": ("build", lambda c: c["network"].update(sources=[["1", "2"], ["2", "3"]])),
+    # An integer past the float range, which float() cannot convert.
+    "werner_v_huge_int": ("bounds", lambda c: c["states"]["1"].update(v=10**400)),
+    # The int64 cast of these endpoints would warn on stderr.
+    "source_infinite": ("build", lambda c: c["network"].update(sources=[[1, 2], [2, float("inf")]])),
+    "source_huge": ("build", lambda c: c["network"].update(sources=[[1, 2], [2, 1e30]])),
+    # int() would read the key " 1" as source 1.
+    "fcbi_key_padded": ("build", lambda c: c["inequality"].update(
+        fcbi={" 1": "chsh", "2": "chsh"})),
 }
 # The error each malformed config reports, where it is not ConfigError.
-MALFORMED_ERRORS = {"chained_huge": "TooLargeError"}
+MALFORMED_ERRORS = {
+    "chained_huge": "TooLargeError",
+    "source_fraction": "IndexOutOfRangeError",
+    "source_string": "IndexOutOfRangeError",
+    "source_infinite": "IndexOutOfRangeError",
+    "source_huge": "IndexOutOfRangeError",
+}
 
 
 @pytest.mark.parametrize("name", [*MALFORMED, "random_budget_zero"])

@@ -1,8 +1,9 @@
-from itertools import product
+import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netbell.builder import build_inequality
@@ -13,7 +14,7 @@ from netbell.errors import (
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
-from netbell.evaluator import MeasurementStrategy
+from netbell.evaluator import MeasurementStrategy, input_counts_for
 from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog
 from netbell.networks import (
     chain5_strategy_for_tree5,
@@ -333,3 +334,55 @@ def test_local_columns_match_scalar_loop(name):
             expected = local_model_S(ineq, model)
             assert batched[i] == pytest.approx(expected, abs=1e-12)
             assert evaluate_local_model(ineq, model) == pytest.approx(expected, abs=1e-12)
+
+
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.sampled_from([2, 3, 4]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=50, deadline=None)
+def test_local_models_on_generated_networks(n, k, extra, seed):
+    """A random tree plus up to two sources between intermediate parties: the
+    exhaustive oracle attains the classical bound with a model that
+    re-evaluates to its value, and random models with hidden alphabets of
+    sizes 1 to 3 match the scalar loop."""
+    rng = np.random.default_rng(seed)
+    edges = _random_tree(n, rng)
+    inner = find_leaves(build_topology(n, edges)).intermediate_set.tolist()
+    spare = [e for e in combinations(inner, 2) if e not in edges and e[::-1] not in edges]
+    edges += [spare[i] for i in rng.permutation(len(spare))[:extra]]
+    topo = build_topology(n, edges)
+    fcbi = make_catalog(CHSH) if k == 2 else make_catalog(CHAINED, k)
+    ineq = build_inequality(topo, k, {s: fcbi for s in find_leaves(topo).peripheral_set})
+    # The oracle's cap is 24 leaf bits, but 2^24 rows of k columns take
+    # 0.5 GB; 16 bits keep each example small.
+    assume(ineq.l * fcbi.rows <= 16)
+
+    rep = classical_oracle(ineq, mode="exhaustive")
+    assert rep.best_value == pytest.approx(ineq.classical_bound, abs=1e-12)
+    assert evaluate_local_model(ineq, rep.best_config) == pytest.approx(
+        rep.best_value, abs=1e-12
+    )
+
+    counts = input_counts_for(ineq)
+    sources = range(1, topo.n_sources + 1)
+    for _ in range(3):
+        cards = {s: int(rng.integers(1, 4)) for s in sources}
+        # Keep the scalar loop's hidden product alphabet small.
+        while math.prod(cards.values()) > 64:
+            cards[int(rng.choice([s for s in sources if cards[s] > 1]))] -= 1
+        model = LocalModel(
+            cardinalities=cards,
+            weights={s: rng.dirichlet(np.ones(c)) for s, c in cards.items()},
+            responses={
+                p: rng.choice([-1.0, 1.0], size=(
+                    counts[p], math.prod(cards[s] for s in topo.incident_sources(p))
+                ))
+                for p in counts
+            },
+        )
+        assert evaluate_local_model(ineq, model) == pytest.approx(
+            local_model_S(ineq, model), abs=1e-12
+        )

@@ -91,12 +91,20 @@ def test_out_of_range_rejected():
         build_topology(3, [(1, 2), (2, 4)])
     with pytest.raises(IndexOutOfRangeError):
         build_topology(3, [])
-    # Booleans and fractions, which an int64 cast would truncate, are refused
-    # as such: the first three would otherwise build [[1, 2], [2, 3]].
+    # Booleans, fractions and strings, which an int64 cast would truncate or
+    # parse, are refused as such: the first five would otherwise build
+    # [[1, 2], [2, 3]].
     for edges in ([(1.5, 2), (2, 3)], [(True, 2), (2, 3)], [(1, 2), (2, 3.0000001)],
-                  np.array([[1.5, 2], [2, 3]]), np.array([[True, False], [False, True]])):
+                  [("1", "2"), ("2", "3")], [(1, 2), (2, "3")],
+                  np.array([[1.5, 2], [2, 3]]), np.array([[True, False], [False, True]]),
+                  np.array([["1", "2"], ["2", "3"]]), [(1, 2), (2, np.inf)]):
         with pytest.raises(IndexOutOfRangeError, match="must be integers"):
             build_topology(3, edges)
+    # An integral float past int64 is out of range, with no cast warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IndexOutOfRangeError, match=r"must lie in \[1, 3\]"):
+            build_topology(3, [(1, 2), (2, 1e30)])
     # Integral numbers of any type still build the same network.
     for edges in ([(1, 2), (2, 3)], np.array([[1, 2], [2, 3]]), np.array([[1.0, 2.0], [2.0, 3.0]]),
                   [(np.int32(1), 2), (2, 3)]):
