@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     ColumnMismatchError,
     DegenerateBipartiteError,
-    LeafPairSourceError,
     MissingFcbiError,
     TooFewLeavesError,
 )
@@ -84,7 +83,6 @@ def build_inequality(
     Raises:
         TooFewLeavesError: fewer than two leaf nodes.
         DegenerateBipartiteError: two-party network (plain FCBI territory).
-        LeafPairSourceError: a source connects two leaves in a larger network.
         MissingFcbiError: fcbi_map does not cover exactly the peripheral sources.
         ColumnMismatchError: some FCBI column count differs from k.
     """
@@ -97,13 +95,6 @@ def build_inequality(
         raise TooFewLeavesError(
             f"the construction needs at least two leaf nodes, found {leaves.l}"
         )
-    leaf_set = {int(p) for p in leaves.leaf_set}
-    for s in leaves.peripheral_set:
-        a, b = topology.endpoints(s)
-        if a in leaf_set and b in leaf_set:
-            raise LeafPairSourceError(
-                f"source {s} joins two leaves ({a}, {b}); no intermediate party holds its B side"
-            )
     peripheral = leaves.peripheral_set
     given = set(fcbi_map)
     if given != peripheral:

@@ -99,9 +99,11 @@ def _require(config: dict, key: str):
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8, and integer
+    # literals past Python's int-string limit.
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")

@@ -57,10 +57,6 @@ class ColumnMismatchError(NetbellError):
     pass
 
 
-class LeafPairSourceError(NetbellError):
-    pass
-
-
 class DegenerateBipartiteError(NetbellError):
     """A two-party network is a plain bipartite Bell test, not a network inequality."""
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -177,7 +176,7 @@ class _CrossObjective:
     """S of a target inequality evaluated on strategies of a host network.
 
     The target supplies the leaf set, Delta coefficients, column count, and
-    exponent 1/l; the host supplies the sources, states, and slot layout.
+    exponent 1/l; the host supplies the sources, states, and endpoints.
     When host and target coincide this is the plain network objective.
 
     A strategy is held as one (inputs, 3) array of Bloch rows per source
@@ -188,7 +187,9 @@ class _CrossObjective:
     both axes carry the column index j. Operands that reduce to a vector
     over j enter as their product, so einsum operands and indices are spent
     only on leaves with several host sources, which a host other than the
-    target can have.
+    target can have. The environment G_i of source i, the same contraction
+    with R_i left out, turns into the block coefficients of either endpoint,
+    in which every I_j is linear.
     """
 
     def __init__(
@@ -223,7 +224,6 @@ class _CrossObjective:
         self.weights = [self._leaf_weights[p] for p in lettered]
         self._weight_subs = [self._index[p] + "j" for p in lettered]
 
-        self._host = host
         self.ends = [tuple(e) for e in host.edges.tolist()]
         self.corrs = [states[s].corr for s in range(1, host.n_sources + 1)]
         self.inner, self.outer = [], []
@@ -242,46 +242,32 @@ class _CrossObjective:
         ) + "->j"
         self._env_parts = {}
 
-    @cached_property
-    def slots(self) -> list[tuple[int, int, int]]:
-        """Slot order: party, then input, then incident source."""
-        return [
-            (p, inp, s)
-            for p in range(1, self._host.n_parties + 1)
-            for inp in range(1, self.input_counts[p] + 1)
-            for s in self._host.incident_sources(p)
-        ]
-
-    def _side(self, party: int, i: int) -> int:
-        return 0 if self.ends[i][0] == party else 1
-
     def vectors(self, row) -> list[list[np.ndarray]]:
-        """Endpoint arrays with row(party, input, source) filled in slot order."""
-        vecs = [
-            [np.zeros((self.input_counts[a], 3)), np.zeros((self.input_counts[b], 3))]
-            for a, b in self.ends
+        """Endpoint arrays with row(party, input, source) filled in endpoint order."""
+        return [
+            [
+                np.array([row(p, inp, i + 1) for inp in range(1, self.input_counts[p] + 1)])
+                for p in ends
+            ]
+            for i, ends in enumerate(self.ends)
         ]
-        for party, inp, s in self.slots:
-            vecs[s - 1][self._side(party, s - 1)][inp - 1] = row(party, inp, s)
-        return vecs
 
     def strategy(self, vecs) -> MeasurementStrategy:
         """The strategy of the endpoint arrays; a zero row becomes sigma_z."""
         strategy = MeasurementStrategy()
-        for party, inp, s in self.slots:
-            vec = _normalize(vecs[s - 1][self._side(party, s - 1)][inp - 1])
-            strategy.slots[(party, inp, s)] = (
-                QubitObservable(vec) if vec @ vec > 0.5 else SIGMA_Z
-            )
+        for i, ends in enumerate(self.ends):
+            for p, rows in zip(ends, vecs[i]):
+                for inp, vec in enumerate(rows, start=1):
+                    vec = _normalize(vec)
+                    strategy.slots[(p, inp, i + 1)] = (
+                        QubitObservable(vec) if vec @ vec > 0.5 else SIGMA_Z
+                    )
         return strategy
-
-    def _product(self, vecs, i: int) -> np.ndarray:
-        a_rows, b_rows = vecs[i]
-        return a_rows @ self.corrs[i] @ b_rows.T
 
     def factor(self, vecs, i: int) -> np.ndarray:
         """The operand R_i of source i."""
-        f = self._product(vecs, i)
+        a_rows, b_rows = vecs[i]
+        f = a_rows @ self.corrs[i] @ b_rows.T
         if self._folds[i] is None:
             return f
         spec, folded = self._folds[i]
@@ -345,33 +331,17 @@ class _CrossObjective:
         )
         return env.reshape(shape) * mask
 
-    def affected_columns(self, party: int, inp: int) -> list[int]:
-        """0-based columns whose correlator depends on the party's input."""
-        if party in self.intermediate:
-            return [inp - 1]
-        return list(range(self.k))
+    def block_coeffs(self, vecs, env: np.ndarray, i: int, side: int) -> np.ndarray:
+        """H with I_j = sum_x H[x, j] . U[x] for the endpoint rows U = vecs[i][side].
 
-    def affine_coeffs(
-        self, vecs, env: np.ndarray, slot: tuple[int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """I_j = c_j + g_j . n for every column j, with n the slot's vector.
-
-        c_j sums the entries of F_i * G_i whose input at the slot's party is
-        not the slot's input; g_j contracts the remaining environment row
-        with T_i and the other endpoint's vectors.
+        I_j is linear in F_i = U_a T_i U_b^T with coefficients G_i = env, so
+        contracting G_i with the other endpoint's rows through T_i leaves
+        H[x, j] of shape (inputs, k, 3).
         """
-        party, inp, source = slot
-        i = source - 1
-        corr = self.corrs[i]
-        f = self._product(vecs, i)
-        if self._side(party, i) == 0:
-            other = vecs[i][1] @ corr.T
-        else:
-            f, env, other = f.T, env.transpose(1, 0, 2), vecs[i][0] @ corr
-        rows = np.einsum("po,poj->pj", f, env)
-        c = np.delete(rows, inp - 1, axis=0).sum(axis=0)
-        g = env[inp - 1].T @ other
-        return c, g
+        a_rows, b_rows = vecs[i]
+        if side == 0:
+            return np.einsum("xoj,oc->xjc", env, b_rows @ self.corrs[i].T)
+        return np.einsum("oxj,oc->xjc", env, a_rows @ self.corrs[i])
 
 
 # Four einsum indices per source, a row and a column for each qubit, of numpy's 52.

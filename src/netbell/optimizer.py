@@ -1,15 +1,16 @@
 """Search machinery: network see-saw, local-hidden-variable oracle, and
 topology discrimination.
 
-The see-saw is a coordinate ascent over all Bloch-vector slots of the
-contraction engine `evaluator._CrossObjective`. I_j is affine in one slot's
-vector, I_j = c_j + g_j . n, and (c, g) come from the environment of the
-slot's source: the same contraction with that source left out. Slots whose
-input is only used in a single column admit an exact closed-form update
-(the objective is linear in them); leaf slots enter every column and are
-polished by projected gradient on the sphere. After a slot update only
-that source's operand is recomputed. Restarts use sub-seeds derived from
-the master seed, so results do not depend on execution order.
+The see-saw is a block coordinate ascent over the source endpoints of the
+contraction engine `evaluator._CrossObjective`. With everything else fixed,
+I_j = sum_x H[x, j] . U[x] is linear in an endpoint's Bloch rows U, and H
+comes from the environment of the endpoint's source: the same contraction
+with that source left out. An intermediate party's input x enters column x
+only, so its whole block has the closed-form update U[x] = H[x, x] / |H[x, x]|;
+a leaf's input enters every column, and each of its rows is polished by
+projected gradient on the sphere. After an endpoint update only that
+source's operand is recomputed. Restarts use sub-seeds derived from the
+master seed, so results do not depend on execution order.
 
 The exhaustive oracle enumerates the deterministic leaf response tables;
 intermediate parties answer +1, since their sign cannot change |I_j|.
@@ -38,7 +39,7 @@ from .evaluator import (
     evaluate_S,
     input_counts_for,
 )
-from .fcbi import CHSH, sign_table
+from .fcbi import CHSH, _normalize_rows, sign_table
 from .qstate import TwoQubitState
 from .topology import NetworkTopology, find_leaves
 
@@ -125,28 +126,21 @@ def _seesaw_once(obj: _CrossObjective, rng, sweeps: int = 120, tol: float = 1e-1
     factors = obj.factors(vecs)
     value = obj.value(factors)
     converged = False
-    # Updating a slot of source i changes its operand only, so G_i stays
-    # valid until a slot of another source is visited.
-    env_source, env = None, None
     for _ in range(sweeps):
-        for slot in obj.slots:
-            party, inp, source = slot
-            i = source - 1
-            if i != env_source:
-                env_source, env = i, obj.environment(factors, i)
-            cols = obj.affected_columns(party, inp)
-            cs, gs = obj.affine_coeffs(vecs, env, slot)
-            rows = vecs[i][obj._side(party, i)]
-            if len(cols) == 1:
-                c, g = cs[cols[0]], gs[cols[0]]
-                norm = np.linalg.norm(g)
-                if norm > 1e-14:
-                    rows[inp - 1] = np.sign(c) * g / norm if c != 0.0 else g / norm
-            else:
-                rows[inp - 1] = _max_abs_powersum(
-                    cs[cols], gs[cols], obj.l, rows[inp - 1]
-                )
-            factors[i] = obj.factor(vecs, i)
+        for i, ends in enumerate(obj.ends):
+            # G_i does not depend on F_i, so both endpoints share it.
+            env = obj.environment(factors, i)
+            for side, party in enumerate(ends):
+                rows = vecs[i][side]
+                h = obj.block_coeffs(vecs, env, i, side)
+                if party in obj.intermediate:
+                    # Input x enters column x only: I_x = H[x, x] . U[x].
+                    rows[:] = _normalize_rows(np.einsum("xxc->xc", h), fallback=rows)
+                else:
+                    for x in range(len(rows)):
+                        c = np.einsum("yjc,yc->j", h, rows) - h[x] @ rows[x]
+                        rows[x] = _max_abs_powersum(c, h[x], obj.l, rows[x])
+                factors[i] = obj.factor(vecs, i)
         new_value = obj.value(factors)
         if new_value - value < tol:
             value = max(value, new_value)

@@ -9,7 +9,6 @@ to a leaf is called peripheral.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,15 +129,12 @@ def _party_pairs(edges) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def build_topology(
-    n_parties: int, edges, *, allow_disconnected: bool = False
-) -> NetworkTopology:
+def build_topology(n_parties: int, edges) -> NetworkTopology:
     """Validate and construct a network topology.
 
     Args:
         n_parties: number of parties, >= 1.
         edges: iterable of (a, b) party-index pairs; entry j is source j+1.
-        allow_disconnected: downgrade the connectivity failure to a warning.
 
     Validation costs one O(M log M) sort of int64 keys, one per source,
     O(N + M) passes for the range and degree checks, and a few O(N + M)
@@ -192,15 +188,7 @@ def build_topology(
 
     n_comp = _count_components(n_parties, arr)
     if n_comp > 1:
-        if allow_disconnected:
-            warnings.warn(
-                f"network has {n_comp} connected components", stacklevel=2
-            )
-        else:
-            raise DisconnectedError(
-                f"network has {n_comp} connected components; "
-                "pass allow_disconnected to keep it"
-            )
+        raise DisconnectedError(f"network has {n_comp} connected components")
 
     return NetworkTopology(n_parties=n_parties, edges=arr, degrees=degrees)
 

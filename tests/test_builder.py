@@ -6,7 +6,6 @@ from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     ColumnMismatchError,
     DegenerateBipartiteError,
-    LeafPairSourceError,
     MissingFcbiError,
     TooFewLeavesError,
 )
@@ -45,14 +44,6 @@ def test_rejects_too_few_leaves():
     topo = build_topology(3, [(1, 2), (2, 3), (1, 3)])
     with pytest.raises(TooFewLeavesError):
         build_inequality(topo, 2, {})
-
-
-def test_rejects_leaf_pair_source():
-    with pytest.warns(UserWarning):
-        topo = build_topology(5, [(1, 2), (2, 3), (4, 5)], allow_disconnected=True)
-    fcbi = {s: make_catalog(CHSH) for s in (1, 2, 3)}
-    with pytest.raises(LeafPairSourceError):
-        build_inequality(topo, 2, fcbi)
 
 
 def test_rejects_wrong_fcbi_cover(six_party):

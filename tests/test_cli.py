@@ -296,6 +296,26 @@ def test_contract_faults(name, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("name", ["int_too_long", "not_utf8"])
+def test_unreadable_config_is_exit_2(name, tmp_path):
+    """JSON that json.load refuses with a plain ValueError (an integer past
+    Python's 4,300-digit limit) or a UnicodeDecodeError (byte 0xE9 in a key)
+    exits 2 with one JSON line. json.dumps refuses such an integer, so both
+    files are written raw."""
+    text = (CONFIG_DIR / "bilocal_chain.json").read_text()
+    path = tmp_path / f"{name}.json"
+    if name == "int_too_long":
+        path.write_text(text.replace('"k": 2', '"k": ' + "7" * 5000))
+    else:
+        path.write_bytes(text.replace('"seed"', '"s\xe9ed"').encode("latin-1"))
+    proc = run_cli("build", str(path))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0])["error"] == "ConfigError"
+    assert proc.stdout == ""
+
+
 _BASES = [
     ("bilocal_chain.json", ["analyze", "build", "eval", "bounds", "oracle", "optimize"]),
     ("discriminate_tree_vs_chain.json", ["discriminate"]),

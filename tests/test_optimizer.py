@@ -6,15 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netbell.builder import build_inequality
+from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     BadRestartsError,
+    NonConvergenceError,
     PartyCountMismatchError,
     TooFewLeavesError,
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
-from netbell.evaluator import MeasurementStrategy, input_counts_for
+from netbell.evaluator import (
+    MeasurementStrategy,
+    check_conditions,
+    evaluate_S,
+    input_counts_for,
+    optimal_strategy,
+)
 from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog
 from netbell.networks import (
     chain5_strategy_for_tree5,
@@ -242,25 +249,25 @@ def test_cross_evaluate_random_trees(n, k, host_cycle, seed):
 
 
 @pytest.mark.parametrize("name", ["tree5_on_chain5", "six_party_asymmetric"])
-def test_affine_coeffs_reproduce_columns(name):
-    """For every slot, I_j = c_j + g_j . n on each affected column j."""
+def test_block_coeffs_reproduce_columns(name):
+    """For every source endpoint, I_j = sum_x H[x, j] . U[x] on all k columns,
+    whatever the endpoint's rows U."""
     ineq, host = _case(name)
     rng = np.random.default_rng(5)
     states = {s: random_mixed(20 + s) for s in range(1, host.n_sources + 1)}
     obj = _CrossObjective(ineq, host, states)
     vecs = obj.vectors(lambda *slot: rng.normal(size=3))
-    for slot in obj.slots:
-        party, inp, source = slot
-        i = source - 1
-        factors = obj.factors(vecs)
-        cs, gs = obj.affine_coeffs(vecs, obj.environment(factors, i), slot)
-        for _ in range(2):
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            vecs[i][obj._side(party, i)][inp - 1] = n
-            columns = obj.columns(obj.factors(vecs))
-            cols = obj.affected_columns(party, inp)
-            np.testing.assert_allclose(cs[cols] + gs[cols] @ n, columns[cols], atol=1e-12)
+    for i in range(len(obj.ends)):
+        env = obj.environment(obj.factors(vecs), i)
+        for side in (0, 1):
+            h = obj.block_coeffs(vecs, env, i, side)
+            for _ in range(2):
+                rows = rng.normal(size=vecs[i][side].shape)
+                vecs[i][side] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+                columns = obj.columns(obj.factors(vecs))
+                np.testing.assert_allclose(
+                    np.einsum("xjc,xc->j", h, vecs[i][side]), columns, atol=1e-12
+                )
 
 
 def test_oracle_exhaustive_asymmetric():
@@ -336,12 +343,28 @@ def test_local_columns_match_scalar_loop(name):
             assert evaluate_local_model(ineq, model) == pytest.approx(expected, abs=1e-12)
 
 
-@given(
+def _generated_inequality(n, k, extra, rng):
+    """A random tree on n parties plus up to `extra` sources between
+    intermediate parties, with CHSH (k = 2) or chained-k on every
+    peripheral source."""
+    edges = _random_tree(n, rng)
+    inner = find_leaves(build_topology(n, edges)).intermediate_set.tolist()
+    spare = [e for e in combinations(inner, 2) if e not in edges and e[::-1] not in edges]
+    edges += [spare[i] for i in rng.permutation(len(spare))[:extra]]
+    topo = build_topology(n, edges)
+    fcbi = make_catalog(CHSH) if k == 2 else make_catalog(CHAINED, k)
+    return build_inequality(topo, k, {s: fcbi for s in find_leaves(topo).peripheral_set})
+
+
+_GENERATED = (
     st.integers(min_value=3, max_value=8),
     st.sampled_from([2, 3, 4]),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=2**31),
 )
+
+
+@given(*_GENERATED)
 @settings(max_examples=50, deadline=None)
 def test_local_models_on_generated_networks(n, k, extra, seed):
     """A random tree plus up to two sources between intermediate parties: the
@@ -349,13 +372,8 @@ def test_local_models_on_generated_networks(n, k, extra, seed):
     re-evaluates to its value, and random models with hidden alphabets of
     sizes 1 to 3 match the scalar loop."""
     rng = np.random.default_rng(seed)
-    edges = _random_tree(n, rng)
-    inner = find_leaves(build_topology(n, edges)).intermediate_set.tolist()
-    spare = [e for e in combinations(inner, 2) if e not in edges and e[::-1] not in edges]
-    edges += [spare[i] for i in rng.permutation(len(spare))[:extra]]
-    topo = build_topology(n, edges)
-    fcbi = make_catalog(CHSH) if k == 2 else make_catalog(CHAINED, k)
-    ineq = build_inequality(topo, k, {s: fcbi for s in find_leaves(topo).peripheral_set})
+    ineq = _generated_inequality(n, k, extra, rng)
+    topo, fcbi = ineq.topology, ineq.fcbi_map[min(ineq.fcbi_map)]
     # The oracle's cap is 24 leaf bits, but 2^24 rows of k columns take
     # 0.5 GB; 16 bits keep each example small.
     assume(ineq.l * fcbi.rows <= 16)
@@ -386,3 +404,33 @@ def test_local_models_on_generated_networks(n, k, extra, seed):
         assert evaluate_local_model(ineq, model) == pytest.approx(
             local_model_S(ineq, model), abs=1e-12
         )
+
+
+@given(*_GENERATED)
+@settings(max_examples=30, deadline=None)
+def test_quantum_bounds_on_generated_networks(n, k, extra, seed):
+    """On the same generated networks: the catalog strategy on |Phi+> meets
+    the quantum bound and both saturation conditions, the see-saw reaches
+    it without passing it, and random strategies on random mixed states
+    stay below the mixed-state bound."""
+    rng = np.random.default_rng(seed)
+    ineq = _generated_inequality(n, k, extra, rng)
+    sources = range(1, ineq.topology.n_sources + 1)
+    bell = {s: max_entangled() for s in sources}
+    strategy = optimal_strategy(ineq, bell)
+    assert evaluate_S(ineq, bell, strategy).S == pytest.approx(ineq.quantum_bound, abs=1e-9)
+    assert check_conditions(ineq, bell, strategy).saturated
+    found = seesaw_network(ineq, bell, restarts=2, seed=0).best_value
+    assert ineq.quantum_bound - 1e-6 <= found <= ineq.quantum_bound + 1e-9
+
+    mixed = {s: random_mixed(int(rng.integers(1000))) for s in sources}
+    try:
+        bound = mixed_state_bound(ineq, mixed)
+    except NonConvergenceError:
+        # ROADMAP F3: state_max stalls on random_mixed(332) for chained-3 and
+        # chained-4 (test_fcbi.py::test_state_max_on_near_degenerate_lower_spectrum
+        # keeps it in view); with no bound there is nothing to check.
+        return
+    for _ in range(3):
+        strategy = _random_strategy(ineq, ineq.topology, rng)
+        assert evaluate_S(ineq, mixed, strategy).S <= bound + 1e-9

@@ -140,11 +140,8 @@ def test_isolated_party_memory_follows_sources():
 
 
 def test_disconnected():
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(DisconnectedError, match="^network has 2 connected components$"):
         build_topology(4, [(1, 2), (3, 4)])
-    with pytest.warns(UserWarning):
-        topo = build_topology(4, [(1, 2), (3, 4)], allow_disconnected=True)
-    assert topo.n_sources == 2
 
 
 def _permuted_chain_edges(n, seed):
@@ -168,7 +165,7 @@ def test_permuted_chain_builds_in_time():
 def test_permuted_chain_missing_source_disconnected():
     n = 1_000_000
     edges = np.delete(_permuted_chain_edges(n, 2), n // 2, axis=0)
-    with pytest.raises(DisconnectedError, match="^network has 2 connected components;"):
+    with pytest.raises(DisconnectedError, match="^network has 2 connected components$"):
         build_topology(n, edges)
 
 
@@ -198,7 +195,8 @@ def _bfs_components(n, edges):
 @settings(max_examples=200, deadline=None)
 def test_component_count_matches_bfs(pairs):
     """Random edge lists with no self-loop, repeated pair or isolated party:
-    the error and the warning name the component count a BFS finds."""
+    a connected list builds, and the error names the component count a BFS
+    finds."""
     pairs = list({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
     assume(pairs)
     # Renumber the touched parties 1..n, so that no party is isolated.
@@ -207,18 +205,12 @@ def test_component_count_matches_bfs(pairs):
     edges = index.reshape(-1, 2) + 1
     n_comp = _bfs_components(n, edges.tolist())
     if n_comp == 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            build_topology(n, edges, allow_disconnected=True)
+        assert build_topology(n, edges).n_sources == len(pairs)
         return
     with pytest.raises(
-        DisconnectedError,
-        match=f"^network has {n_comp} connected components; pass allow_disconnected to keep it$",
+        DisconnectedError, match=f"^network has {n_comp} connected components$"
     ):
         build_topology(n, edges)
-    with pytest.warns(UserWarning, match=f"^network has {n_comp} connected components$"):
-        topo = build_topology(n, edges, allow_disconnected=True)
-    assert topo.n_sources == len(pairs)
 
 
 def _random_tree_edges(n, rng):
