@@ -10,6 +10,7 @@ from .analysis import (
     critical_visibility_uniform,
     mahler_check,
     report,
+    visibility_window,
     werner_violation_threshold,
 )
 from .builder import (
@@ -39,7 +40,6 @@ from .optimizer import (
     classical_oracle,
     discriminate,
     seesaw_network,
-    visibility_window,
 )
 from .qstate import (
     TwoQubitState,

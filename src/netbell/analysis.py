@@ -1,5 +1,13 @@
 """Noise-robustness thresholds, the product-form matrix inequality, and
 consolidated violation reports.
+
+Every Werner-noise number comes from one formula. A |Phi+> Werner source of
+visibility v has T = v diag(1, -1, 1), so |T^T d| = v |d| for every vector:
+its state maximum is v q_s under any FCBI map, and its largest correlation
+singular value is t0 = v (Horodecki^3, Phys. Lett. A 200, 340, 1995). With
+such a source everywhere the mixed-state bound is quantum_bound * v^(M/l),
+which crosses the classical bound at v = (beta/q)^(l/M); on the peripheral
+sources alone the product of the visibilities must exceed (beta/q)^l.
 """
 
 from __future__ import annotations
@@ -9,15 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import NetworkInequality, mixed_state_bound
-from .errors import NegativeEntryError, UnsupportedMapError
+from .errors import NegativeEntryError, UnsupportedFcbiError
 from .evaluator import (
     MeasurementStrategy,
     check_conditions,
     evaluate_S,
     optimal_strategy,
 )
-from .fcbi import CHAINED, CHSH
-from .qstate import TwoQubitState
+from .fcbi import state_max
+from .networks import chsh_inequality
+from .qstate import TwoQubitState, pure_schmidt
+from .topology import NetworkTopology
+
+# Schmidt coefficient of a maximally entangled state.
+_MAX_SCHMIDT = 1.0 / np.sqrt(2.0)
 
 
 def format_sig(x: float, digits: int = 12) -> float:
@@ -53,67 +66,81 @@ class ViolationReport:
         }
 
 
-def _uniform_map(ineq: NetworkInequality) -> tuple[str, int]:
-    """(tag, k) if every peripheral FCBI is the same catalog entry."""
-    tags = {m.tag for m in ineq.fcbi_map.values()}
-    if len(tags) != 1:
-        raise UnsupportedMapError(
-            "threshold formulas need the same FCBI on every peripheral source"
+def _bound_ratio(ineq: NetworkInequality) -> float:
+    """beta/q, the ratio of the classical and the quantum bound."""
+    if ineq.quantum_bound <= 0.0:
+        raise UnsupportedFcbiError(
+            "a zero coefficient matrix is never violated, so it has no "
+            "visibility threshold"
         )
-    tag = tags.pop()
-    if tag == CHSH:
-        return CHSH, 2
-    if tag == CHAINED:
-        ks = {m.k_param for m in ineq.fcbi_map.values()}
-        if len(ks) != 1:
-            raise UnsupportedMapError("mixed chain lengths are not supported")
-        return CHAINED, ks.pop()
-    raise UnsupportedMapError(
-        f"no closed-form visibility threshold for the {tag} map"
-    )
+    return ineq.classical_bound / ineq.quantum_bound
+
+
+def uniform_werner_bound(ineq: NetworkInequality, v: float) -> float:
+    """Mixed-state bound with a |Phi+> Werner state of visibility v on every
+    source: quantum_bound * v^(M/l)."""
+    return ineq.quantum_bound * v ** (ineq.topology.n_sources / ineq.l)
+
+
+def critical_visibility_uniform(
+    ineq: NetworkInequality, n_sources: int | None = None
+) -> float:
+    """Per-source visibility at which uniform |Phi+> Werner sources reach the
+    classical bound: (beta/q)^(l/M), where uniform_werner_bound crosses it.
+
+    Args:
+        n_sources: M, the network's own source count unless given; reports
+            also quote the value at M + 1 to show how sensitive it is.
+    """
+    m = ineq.topology.n_sources if n_sources is None else n_sources
+    return float(_bound_ratio(ineq) ** (ineq.l / m))
 
 
 def werner_violation_threshold(
-    ineq: NetworkInequality, schmidt: dict[int, float] | float = 1.0 / np.sqrt(2.0)
+    ineq: NetworkInequality, schmidt: dict[int, float] | float = _MAX_SCHMIDT
 ) -> float:
-    """Threshold on the product of per-source visibilities for violation.
+    """Threshold on the product of the peripheral sources' visibilities, with
+    noiseless intermediate sources: (beta/q)^l on maximally entangled states.
 
-    For the two-input map on Schmidt states a|00> + b|11> the inequality is
-    violated when prod_i v_i exceeds 1 / prod_i sqrt(1 + 4 a_i^2 b_i^2).
-    For the k-input chained map (maximally entangled only) the threshold is
-    ((k-1) / (k cos(pi/2k)))^l.
+    A source whose Werner state mixes a|00> + b|11> with another Schmidt
+    coefficient a scales its factor by q_s / state_max on that pure state;
+    for CHSH this gives 1 / prod_s sqrt(1 + 4 a_s^2 b_s^2).
 
     Args:
         schmidt: Schmidt coefficient per peripheral source, or one value
             shared by all of them.
     """
-    tag, k = _uniform_map(ineq)
-    peripheral = sorted(ineq.leaves.peripheral_set)
-    if not isinstance(schmidt, dict):
-        schmidt = {s: float(schmidt) for s in peripheral}
-    if tag == CHSH:
-        prod = 1.0
-        for s in peripheral:
-            a = schmidt[s]
-            b2 = 1.0 - a * a
-            prod *= np.sqrt(1.0 + 4.0 * a * a * b2)
-        return float(1.0 / prod)
-    for s in peripheral:
-        if abs(schmidt[s] - 1.0 / np.sqrt(2.0)) > 1e-12:
-            raise UnsupportedMapError(
-                "the chained-map threshold is closed-form only for maximally "
-                "entangled sources; bisect mixed_state_bound instead"
-            )
-    return float(((k - 1.0) / (k * np.cos(np.pi / (2 * k)))) ** ineq.l)
+    threshold = _bound_ratio(ineq) ** ineq.l
+    for s in sorted(ineq.leaves.peripheral_set):
+        a = schmidt[s] if isinstance(schmidt, dict) else schmidt
+        if abs(a - _MAX_SCHMIDT) > 1e-12:
+            m = ineq.fcbi_map[s]
+            threshold *= m.quantum_opt / state_max(m, pure_schmidt(a))
+    return float(threshold)
 
 
-def critical_visibility_uniform(ineq: NetworkInequality) -> float:
-    """Per-source critical visibility for uniform maximally entangled Werner
-    states: ((k-1)/(k cos(pi/2k)))^(l/M)."""
-    _, k = _uniform_map(ineq)
-    m = ineq.topology.n_sources
-    base = (k - 1.0) / (k * np.cos(np.pi / (2 * k)))
-    return float(base ** (ineq.l / m))
+def visibility_window(
+    topology_a: NetworkTopology, topology_b: NetworkTopology
+) -> dict:
+    """Uniform-Werner visibility thresholds of two same-size networks, each
+    from its own CHSH inequality.
+
+    States with per-source visibility strictly inside the window violate
+    only the inequality of the network with the larger leaf count.
+
+    Raises:
+        TooFewLeavesError: a network has fewer than two leaves.
+    """
+    results = {}
+    for name, topology in (("a", topology_a), ("b", topology_b)):
+        ineq = chsh_inequality(topology)
+        results[name] = {
+            "l": ineq.l,
+            "m": topology.n_sources,
+            "threshold": critical_visibility_uniform(ineq),
+        }
+    results["window"] = tuple(sorted(results[n]["threshold"] for n in "ab"))
+    return results
 
 
 def mahler_check(X, tol: float = 1e-12, rank_tol: float = 1e-9) -> dict:

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import analysis, optimizer
 from .builder import build_inequality, mixed_state_bound
-from .errors import ConfigError, NetbellError, NonConvergenceError
+from .errors import ConfigError, NetbellError, NonConvergenceError, TooFewLeavesError
 from .evaluator import MeasurementStrategy, input_counts_for
 from .fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog
+from .networks import chsh_inequality
 from .optimizer import LocalModel
 from .qstate import (
     WernerSpec,
@@ -384,11 +385,9 @@ def cmd_optimize(config, args, opts):
 
 def _visibility_payload(ineq) -> dict:
     m = ineq.topology.n_sources
-    threshold = analysis.critical_visibility_uniform(ineq)
-    product = analysis.werner_violation_threshold(ineq)
     return {
-        "per_source_threshold": _sig(threshold),
-        "product_threshold": _sig(product),
+        "per_source_threshold": _sig(analysis.critical_visibility_uniform(ineq)),
+        "product_threshold": _sig(analysis.werner_violation_threshold(ineq)),
         "l": ineq.l,
         "m": m,
         "sensitivity": {
@@ -398,10 +397,8 @@ def _visibility_payload(ineq) -> dict:
                 "for comparison"
             ),
             "per_source_threshold_m_plus_1": _sig(
-                optimizer.uniform_visibility_threshold(ineq.l, m + 1)
-            )
-            if all(f.tag == CHSH for f in ineq.fcbi_map.values())
-            else None,
+                analysis.critical_visibility_uniform(ineq, m + 1)
+            ),
         },
     }
 
@@ -411,16 +408,10 @@ def cmd_visibility(config, args, opts):
     ineq = _parse_inequality(config, topology)
     payload = _visibility_payload(ineq)
     if args.format == "csv":
-        rows = []
-        for v in np.linspace(0.0, 1.0, 101):
-            states = {
-                s: werner(WernerSpec(float(v)))
-                for s in range(1, topology.n_sources + 1)
-            }
-            bound = mixed_state_bound(ineq, states, restarts=opts["restarts"],
-                                      seed=opts["seed"])
-            rows.append((v, bound, ineq.classical_bound))
-        payload["sweep"] = rows
+        payload["sweep"] = [
+            (v, analysis.uniform_werner_bound(ineq, v), ineq.classical_bound)
+            for v in np.linspace(0.0, 1.0, 101)
+        ]
     return payload
 
 
@@ -434,7 +425,12 @@ def cmd_discriminate(config, args, opts):
         restarts=opts["restarts"], seed=opts["seed"], tol=opts["tol"],
     )
     out = _search_dict(rep)
-    window = optimizer.visibility_window(topology, host)
+    try:
+        window = analysis.visibility_window(topology, host)
+    except TooFewLeavesError:
+        # A host with fewer than two leaves has no inequality of its own.
+        out["window"] = None
+        return out
     out["window"] = {
         "a": {k: _sig(v) if isinstance(v, float) else v
               for k, v in window["a"].items()},
@@ -448,9 +444,9 @@ def cmd_discriminate(config, args, opts):
                 "the source count"
             ),
             "bounds_m_plus_1": sorted(
-                _sig(optimizer.uniform_visibility_threshold(
-                    window[name]["l"], window[name]["m"] + 1))
-                for name in ("a", "b")
+                _sig(analysis.critical_visibility_uniform(
+                    chsh_inequality(t), t.n_sources + 1))
+                for t in (topology, host)
             ),
         },
     }

@@ -93,9 +93,5 @@ class NegativeEntryError(NetbellError):
     pass
 
 
-class UnsupportedMapError(NetbellError):
-    pass
-
-
 class ConfigError(NetbellError):
     """Invalid or incomplete run configuration."""

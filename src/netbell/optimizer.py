@@ -8,7 +8,10 @@ comes from the environment of the endpoint's source: the same contraction
 with that source left out. An intermediate party's input x enters column x
 only, so its whole block has the closed-form update U[x] = H[x, x] / |H[x, x]|;
 a leaf's input enters every column, and each of its rows is polished by
-projected gradient on the sphere. After an endpoint update only that
+projected gradient on the sphere. Each H is first divided by its largest
+entry: the best block does not depend on that scale, and on networks with
+tens of leaves the raw entries fall below the updates' absolute floors
+(1e-14 on norms, 1e-12 on magnitudes). After an endpoint update only that
 source's operand is recomputed. Restarts use sub-seeds derived from the
 master seed, so results do not depend on execution order.
 
@@ -28,7 +31,6 @@ import numpy as np
 from .builder import NetworkInequality
 from .errors import (
     BadRestartsError,
-    TooFewLeavesError,
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
@@ -41,7 +43,7 @@ from .evaluator import (
 )
 from .fcbi import CHSH, _normalize_rows, sign_table
 from .qstate import TwoQubitState
-from .topology import NetworkTopology, find_leaves
+from .topology import NetworkTopology
 
 EXHAUSTIVE_CAP_BITS = 24
 HIDDEN_SPACE_CAP = 2**12
@@ -127,12 +129,18 @@ def _seesaw_once(obj: _CrossObjective, rng, sweeps: int = 120, tol: float = 1e-1
     value = obj.value(factors)
     converged = False
     for _ in range(sweeps):
+        moved = False
         for i, ends in enumerate(obj.ends):
             # G_i does not depend on F_i, so both endpoints share it.
             env = obj.environment(factors, i)
             for side, party in enumerate(ends):
                 rows = vecs[i][side]
                 h = obj.block_coeffs(vecs, env, i, side)
+                scale = np.abs(h).max()
+                if scale == 0.0:
+                    continue
+                h = h / scale
+                moved = True
                 if party in obj.intermediate:
                     # Input x enters column x only: I_x = H[x, x] . U[x].
                     rows[:] = _normalize_rows(np.einsum("xxc->xc", h), fallback=rows)
@@ -144,7 +152,8 @@ def _seesaw_once(obj: _CrossObjective, rng, sweeps: int = 120, tol: float = 1e-1
         new_value = obj.value(factors)
         if new_value - value < tol:
             value = max(value, new_value)
-            converged = True
+            # With every H zero no block can move, so nothing was searched.
+            converged = moved
             break
         value = new_value
     return value, vecs, converged
@@ -406,39 +415,3 @@ def _oracle_random(
         seed=seed,
         converged=best_model is not None,
     )
-
-
-# ---------------------------------------------------------------------------
-# Visibility windows
-# ---------------------------------------------------------------------------
-
-
-def uniform_visibility_threshold(l: int, m: int) -> float:
-    """Per-source critical visibility (1/sqrt(2))^(l/m) for the CHSH map."""
-    return float(2.0 ** (-l / (2.0 * m)))
-
-
-def visibility_window(
-    topology_a: NetworkTopology, topology_b: NetworkTopology
-) -> dict:
-    """Uniform-Werner visibility thresholds for two same-size networks.
-
-    States with per-source visibility strictly inside the window violate
-    only the inequality of the network with the larger leaf count.
-    """
-    results = {}
-    for name, topology in (("a", topology_a), ("b", topology_b)):
-        leaves = find_leaves(topology)
-        if leaves.l < 2:
-            raise TooFewLeavesError(
-                f"topology {name} has {leaves.l} leaf nodes; need at least 2"
-            )
-        results[name] = {
-            "l": leaves.l,
-            "m": topology.n_sources,
-            "threshold": uniform_visibility_threshold(leaves.l, topology.n_sources),
-        }
-    lo = min(results["a"]["threshold"], results["b"]["threshold"])
-    hi = max(results["a"]["threshold"], results["b"]["threshold"])
-    results["window"] = (lo, hi)
-    return results

@@ -43,7 +43,6 @@ from netbell.optimizer import (
     classical_oracle,
     cross_evaluate,
     discriminate,
-    uniform_visibility_threshold,
 )
 from netbell.qstate import (
     WernerSpec,
@@ -305,8 +304,8 @@ def test_criterion_09_visibility_thresholds():
     # The formula evaluated with one extra source lands on the previously
     # published endpoint pair (0.8123, 0.8706); the tool reports both counts
     # so the sensitivity is visible rather than silently absorbed.
-    alt_tree = uniform_visibility_threshold(3, 5)
-    alt_chain = uniform_visibility_threshold(2, 5)
+    alt_tree = critical_visibility_uniform(tree, 5)
+    alt_chain = critical_visibility_uniform(chain5, 5)
     assert alt_tree == pytest.approx(0.8123, abs=5e-4)
     assert alt_chain == pytest.approx(0.8706, abs=5e-4)
     assert not np.isclose(alt_tree, thr_tree, atol=1e-3)

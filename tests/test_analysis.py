@@ -8,14 +8,16 @@ from netbell.analysis import (
     critical_visibility_uniform,
     mahler_check,
     report,
+    visibility_window,
     werner_violation_threshold,
 )
-from netbell.builder import build_inequality
-from netbell.errors import NegativeEntryError, UnsupportedMapError
+from netbell.builder import build_inequality, mixed_state_bound
+from netbell.errors import NegativeEntryError, TooFewLeavesError, UnsupportedFcbiError
 from netbell.evaluator import SIGMA_X, SIGMA_Z, MeasurementStrategy
-from netbell.fcbi import CHAINED, EBI, make_catalog
+from netbell.fcbi import CHAINED, EBI, custom_matrix, make_catalog
 from netbell.networks import chain_topology, chsh_inequality
-from netbell.qstate import classical_zz, max_entangled
+from netbell.qstate import WernerSpec, classical_zz, max_entangled, werner
+from netbell.topology import build_topology
 
 
 def test_chsh_threshold_maximally_entangled(six_party_ineq):
@@ -34,43 +36,85 @@ def test_chsh_threshold_product_limit(six_party_ineq):
     assert thr == pytest.approx(0.5, abs=1e-6)
 
 
+def _crossing(ineq, states_at, lo=0.01, hi=1.0):
+    """Bisected visibility at which mixed_state_bound(ineq, states_at(v))
+    reaches the classical bound."""
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if mixed_state_bound(ineq, states_at(mid)) > ineq.classical_bound:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def test_chained_threshold(six_party):
     ineq = build_inequality(
         six_party, 3, {s: make_catalog(CHAINED, 3) for s in (1, 3, 5)}
     )
     expected = (2.0 / (3.0 * np.cos(np.pi / 6))) ** 3
     assert werner_violation_threshold(ineq) == pytest.approx(expected)
-    with pytest.raises(UnsupportedMapError):
-        werner_violation_threshold(ineq, 0.6)
+
+    # Werner states on a|00> + b|11> with a = 0.6 on the peripheral sources,
+    # noiseless intermediates: the product of the three visibilities at the
+    # crossing is the threshold.
+    def states_at(v):
+        states = {s: werner(WernerSpec(v, 0.6)) for s in (1, 3, 5)}
+        return states | {s: max_entangled() for s in (2, 4, 6)}
+
+    v = _crossing(ineq, states_at)
+    assert werner_violation_threshold(ineq, 0.6) == pytest.approx(v**3, abs=1e-6)
+    assert werner_violation_threshold(ineq, 0.6) > expected
 
 
-def test_threshold_rejects_unsupported_maps(six_party):
+def test_thresholds_on_mixed_maps(six_party):
+    """EBI on two peripheral sources, chained-4 on the third: the formula
+    holds for any mix of maps."""
     ineq = build_inequality(
         six_party,
         4,
         {1: make_catalog(EBI), 3: make_catalog(EBI), 5: make_catalog(CHAINED, 4)},
     )
-    with pytest.raises(UnsupportedMapError):
-        werner_violation_threshold(ineq)
-    with pytest.raises(UnsupportedMapError):
+    ratio = ineq.classical_bound / ineq.quantum_bound
+    assert werner_violation_threshold(ineq) == pytest.approx(ratio**3, rel=1e-12)
+    v = _crossing(ineq, lambda v: {s: werner(WernerSpec(v)) for s in range(1, 7)})
+    assert critical_visibility_uniform(ineq) == pytest.approx(v, abs=1e-6)
+
+
+def test_zero_matrix_has_no_threshold():
+    ineq = build_inequality(
+        chain_topology(3), 2, {s: custom_matrix(np.zeros((2, 2))) for s in (1, 2)}
+    )
+    with pytest.raises(UnsupportedFcbiError):
         critical_visibility_uniform(ineq)
 
 
 def test_critical_visibility_values(tree5):
-    assert critical_visibility_uniform(chsh_inequality(tree5)) == pytest.approx(
-        2.0 ** -0.375
-    )
+    tree = chsh_inequality(tree5)
+    assert critical_visibility_uniform(tree) == pytest.approx(2.0 ** -0.375)
+    assert critical_visibility_uniform(tree, 5) == pytest.approx(2.0 ** -0.3)
     chain3 = chsh_inequality(chain_topology(3))
     assert critical_visibility_uniform(chain3) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_critical_visibility_star_like(six_party_ineq):
     # l = M would give exponent 1; emulate with l=3, M=3 star
-    from netbell.topology import build_topology
-
     star = build_topology(4, [(1, 4), (2, 4), (3, 4)])
     ineq = chsh_inequality(star)
     assert critical_visibility_uniform(ineq) == pytest.approx(1 / np.sqrt(2))
+
+
+def test_visibility_window(tree5, chain5):
+    win = visibility_window(tree5, chain5)
+    assert win["a"]["threshold"] == pytest.approx(2.0 ** -0.375)
+    assert win["b"]["threshold"] == pytest.approx(2.0 ** -0.25)
+    assert win["window"] == (win["a"]["threshold"], win["b"]["threshold"])
+
+
+def test_visibility_window_needs_leaves(tree5):
+    triangle = build_topology(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(TooFewLeavesError):
+        visibility_window(tree5, triangle)
 
 
 def test_mahler_examples():

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netbell import cli
+from netbell.builder import mixed_state_bound
 from netbell.errors import NonConvergenceError
+from netbell.qstate import WernerSpec, werner
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -104,6 +106,9 @@ def test_visibility_json_and_csv():
     proc = run_cli("visibility", f"{CONFIG_DIR}/bilocal_chain.json")
     out = json.loads(proc.stdout)
     assert out["per_source_threshold"] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+    assert out["sensitivity"]["per_source_threshold_m_plus_1"] == pytest.approx(
+        2.0 ** (-1 / 3), abs=1e-9
+    )
     proc = run_cli(
         "visibility", f"{CONFIG_DIR}/bilocal_chain.json", "--format", "csv"
     )
@@ -125,6 +130,41 @@ def test_discriminate_reports_window():
     assert out["window"]["sensitivity"]["bounds_m_plus_1"][0] == pytest.approx(
         2.0 ** -0.3, abs=1e-9
     )
+
+
+@pytest.mark.parametrize(
+    "name", ["bilocal_chain", "six_party_chained3", "six_party_asymmetric"]
+)
+def test_visibility_csv_is_the_werner_bound(name):
+    """The sweep's closed form equals mixed_state_bound on |Phi+> Werner
+    states at every source, for CHSH, chained and EBI maps."""
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    topology = cli._parse_topology(config["network"])
+    ineq = cli._parse_inequality(config, topology)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["visibility", str(CONFIG_DIR / f"{name}.json"), "--format", "csv"])
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",") for line in out.getvalue().splitlines()}
+    for v in (0.3, 0.75, 1.0):
+        states = {s: werner(WernerSpec(v)) for s in range(1, topology.n_sources + 1)}
+        expected = mixed_state_bound(ineq, states)
+        assert float(rows[str(v)][1]) == pytest.approx(expected, abs=1e-9)
+        assert float(rows[str(v)][2]) == pytest.approx(ineq.classical_bound, abs=1e-9)
+
+
+def test_discriminate_on_leafless_host(tmp_path):
+    """A ring host has no leaves and so no visibility threshold: the search
+    result is still reported, with no window."""
+    config = json.loads((CONFIG_DIR / "discriminate_tree_vs_chain.json").read_text())
+    config["host_network"] = {"parties": 5, "sources": [[p, p % 5 + 1] for p in range(1, 6)]}
+    path = tmp_path / "ring_host.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("discriminate", str(path), "--restarts", "2")
+    assert proc.returncode == 0, proc.stderr
+    out = strict_json(proc.stdout)
+    assert out["verdict"] in ("VIOLATED", "BOUNDARY", "NOT_FOUND")
+    assert out["window"] is None
 
 
 def test_unknown_config_key_is_exit_2(tmp_path):

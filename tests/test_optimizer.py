@@ -11,7 +11,6 @@ from netbell.errors import (
     BadRestartsError,
     NonConvergenceError,
     PartyCountMismatchError,
-    TooFewLeavesError,
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
@@ -40,8 +39,6 @@ from netbell.optimizer import (
     discriminate,
     evaluate_local_model,
     seesaw_network,
-    uniform_visibility_threshold,
-    visibility_window,
 )
 from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
 from netbell.topology import build_topology, find_leaves
@@ -68,6 +65,15 @@ def test_seesaw_deterministic(bilocal):
     b = seesaw_network(bilocal, states, restarts=4, seed=7)
     assert a.best_value == b.best_value
     assert a.history == b.history
+
+
+def test_seesaw_without_correlations_is_not_converged(bilocal):
+    """With white noise on every source no block can move: no restart
+    searched anything, so none counts as converged."""
+    states = {1: werner(WernerSpec(0.0)), 2: werner(WernerSpec(0.0))}
+    rep = seesaw_network(bilocal, states, restarts=2, seed=0)
+    assert rep.best_value == 0.0
+    assert not rep.converged
 
 
 def test_oracle_exhaustive_bilocal(bilocal):
@@ -132,24 +138,6 @@ def test_discriminate_requires_two_input_map(six_party, tree5):
     )
     with pytest.raises(UnsupportedFcbiError):
         discriminate(ineq, six_party, {})
-
-
-def test_visibility_window(tree5, chain5):
-    win = visibility_window(tree5, chain5)
-    assert win["a"]["threshold"] == pytest.approx(2.0 ** -0.375)
-    assert win["b"]["threshold"] == pytest.approx(2.0 ** -0.25)
-    assert win["window"] == (win["a"]["threshold"], win["b"]["threshold"])
-
-
-def test_visibility_window_needs_leaves(tree5):
-    triangle = build_topology(3, [(1, 2), (2, 3), (1, 3)])
-    with pytest.raises(TooFewLeavesError):
-        visibility_window(tree5, triangle)
-
-
-def test_uniform_threshold_values():
-    assert uniform_visibility_threshold(2, 2) == pytest.approx(1 / np.sqrt(2))
-    assert uniform_visibility_threshold(3, 4) == pytest.approx(2.0 ** -0.375)
 
 
 # -- contraction engine -------------------------------------------------------
