@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from netbell.analysis import critical_visibility_uniform
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     BadRestartsError,
@@ -138,6 +139,15 @@ def test_discriminate_requires_two_input_map(six_party, tree5):
     )
     with pytest.raises(UnsupportedFcbiError):
         discriminate(ineq, six_party, {})
+
+
+def test_uniform_threshold_values(bilocal, tree5):
+    # CHSH on (l, M) = (2, 2) and (3, 4): uniform Werner threshold 2^(-l/2M).
+    tree = chsh_inequality(tree5)
+    assert (bilocal.l, bilocal.topology.n_sources) == (2, 2)
+    assert (tree.l, tree.topology.n_sources) == (3, 4)
+    assert critical_visibility_uniform(bilocal) == pytest.approx(1 / np.sqrt(2))
+    assert critical_visibility_uniform(tree) == pytest.approx(2.0 ** -0.375)
 
 
 # -- contraction engine -------------------------------------------------------
