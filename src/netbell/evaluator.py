@@ -160,15 +160,15 @@ _LEAF_INDICES = "abcdefghiklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # F[x_a, x_b] and the folded leaves' weights to R (None: R = F), and the
 # axes of R, with a and b standing for the endpoints' leaf indices.
 _OPERANDS = {
-    ("j", "j"): ("jj->j", "j"),
+    ("j", "j"): ("...jj->...j", "j"),
     ("j", "l"): (None, "jb"),
-    ("j", "f"): ("jy,yj->j", "j"),
+    ("j", "f"): ("...jy,yj->...j", "j"),
     ("l", "j"): (None, "aj"),
     ("l", "l"): (None, "ab"),
-    ("l", "f"): ("ay,yj->aj", "aj"),
-    ("f", "j"): ("xj,xj->j", "j"),
-    ("f", "l"): ("xb,xj->bj", "bj"),
-    ("f", "f"): ("xy,xj,yj->j", "j"),
+    ("l", "f"): ("...ay,yj->...aj", "aj"),
+    ("f", "j"): ("...xj,xj->...j", "j"),
+    ("f", "l"): ("...xb,xj->...bj", "bj"),
+    ("f", "f"): ("...xy,xj,yj->...j", "j"),
 }
 
 
@@ -190,6 +190,11 @@ class _CrossObjective:
     target can have. The environment G_i of source i, the same contraction
     with R_i left out, turns into the block coefficients of either endpoint,
     in which every I_j is linear.
+
+    Every array may carry leading batch axes, one strategy per leading
+    index: endpoint rows of shape (..., inputs, 3) give operands, columns
+    and environments of shape (..., *) and one value per leading index.
+    The Delta weights and correlation matrices are shared by the batch.
     """
 
     def __init__(
@@ -238,8 +243,8 @@ class _CrossObjective:
             (self.inner if subs == "j" else self.outer).append(len(self._subs))
             self._subs.append(subs)
         self._value_spec = ",".join(
-            ["j"] + [self._subs[i] for i in self.outer] + self._weight_subs
-        ) + "->j"
+            ["...j"] + ["..." + self._subs[i] for i in self.outer] + self._weight_subs
+        ) + "->...j"
         self._env_parts = {}
 
     def vectors(self, row) -> list[list[np.ndarray]]:
@@ -267,7 +272,7 @@ class _CrossObjective:
     def factor(self, vecs, i: int) -> np.ndarray:
         """The operand R_i of source i."""
         a_rows, b_rows = vecs[i]
-        f = a_rows @ self.corrs[i] @ b_rows.T
+        f = a_rows @ self.corrs[i] @ np.swapaxes(b_rows, -1, -2)
         if self._folds[i] is None:
             return f
         spec, folded = self._folds[i]
@@ -292,60 +297,65 @@ class _CrossObjective:
             *self.weights,
         )
 
-    def value(self, factors) -> float:
-        return float(np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l)))
+    def value(self, factors) -> np.ndarray:
+        """S = sum_j |I_j|^(1/l), one value per leading index."""
+        return np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l), axis=-1)
 
     def _env_layout(self, i: int) -> tuple[str, tuple, np.ndarray]:
-        """einsum spec, shape and mask that expand the environment of R_i to
-        G_i[x_a, x_b, j] = dI_j / dF_i[x_a, x_b].
+        """einsum spec, missing axes and mask that expand the environment of
+        R_i to G_i[x_a, x_b, j] = dI_j / dF_i[x_a, x_b].
 
-        An intermediate endpoint has input j in column j, hence a delta(x, j)
-        mask; a leaf summed into R_i contributes its weights M_p[x, j].
+        The einsum leaves an axis only for an endpoint with its own leaf
+        index; each other endpoint gets a unit axis. An intermediate endpoint
+        has input j in column j, hence a delta(x, j) mask; a leaf summed into
+        R_i contributes its weights M_p[x, j].
         """
         if i not in self._env_parts:
             a, b = self.ends[i]
-            kept = [self._subs[t] for t in self.outer if t != i]
+            kept = ["..." + self._subs[t] for t in self.outer if t != i]
             roles = self._role.get(a, "f"), self._role.get(b, "f")
             out = "".join(self._index[p] for p, r in zip((a, b), roles) if r == "l")
-            spec = ",".join(["j"] + kept + self._weight_subs) + "->" + out + "j"
-            shape = []
+            spec = ",".join(["...j"] + kept + self._weight_subs) + "->..." + out + "j"
+            missing = []
             mask = np.ones((self.input_counts[a], self.input_counts[b], self.k))
             for axis, (p, r) in enumerate(zip((a, b), roles)):
                 if r == "l":
-                    shape.append(self.input_counts[p])
                     continue
-                shape.append(1)
+                missing.append(axis - 3)
                 m = np.eye(self.k) if r == "j" else self._leaf_weights[p]
                 mask *= np.expand_dims(m, 1 - axis)
-            self._env_parts[i] = (spec, (*shape, self.k), mask)
+            self._env_parts[i] = (spec, tuple(missing), mask)
         return self._env_parts[i]
 
     def environment(self, factors, i: int) -> np.ndarray:
-        """G_i with shape (inputs of a, inputs of b, k); it does not depend on F_i."""
-        spec, shape, mask = self._env_layout(i)
+        """G_i with shape (..., inputs of a, inputs of b, k); it does not depend on F_i."""
+        spec, missing, mask = self._env_layout(i)
         env = np.einsum(
             spec,
             self._diagonals(factors, skip=i),
             *[factors[t] for t in self.outer if t != i],
             *self.weights,
         )
-        return env.reshape(shape) * mask
+        return np.expand_dims(env, missing) * mask
 
     def block_coeffs(self, vecs, env: np.ndarray, i: int, side: int) -> np.ndarray:
         """H with I_j = sum_x H[x, j] . U[x] for the endpoint rows U = vecs[i][side].
 
         I_j is linear in F_i = U_a T_i U_b^T with coefficients G_i = env, so
         contracting G_i with the other endpoint's rows through T_i leaves
-        H[x, j] of shape (inputs, k, 3).
+        H[..., x, j] of shape (..., inputs, k, 3).
         """
         a_rows, b_rows = vecs[i]
         if side == 0:
-            return np.einsum("xoj,oc->xjc", env, b_rows @ self.corrs[i].T)
-        return np.einsum("oxj,oc->xjc", env, a_rows @ self.corrs[i])
+            return np.einsum("...xoj,...oc->...xjc", env, b_rows @ self.corrs[i].T)
+        return np.einsum("...oxj,...oc->...xjc", env, a_rows @ self.corrs[i])
 
 
 # Four einsum indices per source, a row and a column for each qubit, of numpy's 52.
 MAX_ORACLE_SOURCES = 13
+
+# Contraction path of `_network_trace` by source count and edge bytes.
+_TRACE_PATHS: dict[tuple[int, bytes], list] = {}
 
 
 def _party_operator(topology, strategy, party: int, inp: int) -> np.ndarray:
@@ -383,7 +393,13 @@ def _network_trace(topology, states, operator) -> float:
         qubits = [2 * s - 2 + (topology.endpoints(s)[0] != party) for s in sources]
         op = operator(party).reshape((2,) * (2 * len(qubits)))
         operands += [op, [2 * q + 1 for q in qubits] + [2 * q for q in qubits]]
-    return float(np.einsum(*operands, [], optimize=True).real)
+    # The contraction path depends only on the topology, which its source
+    # count and edge list determine, so numpy's greedy search runs once per
+    # topology.
+    key = (m, topology.edges.tobytes())
+    if key not in _TRACE_PATHS:
+        _TRACE_PATHS[key] = np.einsum_path(*operands, [], optimize="greedy")[0]
+    return float(np.einsum(*operands, [], optimize=_TRACE_PATHS[key]).real)
 
 
 def correlator_full_tensor(

@@ -11,9 +11,17 @@ a leaf's input enters every column, and each of its rows is polished by
 projected gradient on the sphere. Each H is first divided by its largest
 entry: the best block does not depend on that scale, and on networks with
 tens of leaves the raw entries fall below the updates' absolute floors
-(1e-14 on norms, 1e-12 on magnitudes). After an endpoint update only that
-source's operand is recomputed. Restarts use sub-seeds derived from the
-master seed, so results do not depend on execution order.
+(1e-14 on norms, 1e-12 on magnitudes). A source's operand is recomputed
+once both its endpoints are updated: its environment, and so both blocks,
+do not depend on it.
+
+All restarts run as one see-saw on a leading batch axis of the endpoint
+arrays, in chunks of RESTART_CHUNK. Each sweep advances only the live
+restarts, and a restart stops on its own at its first sweep that gains less
+than the tolerance; a leaf's rows are polished for every live restart at
+once. Restart r starts from its own sub-seed of the master seed, so no
+restart's result depends on the others, on the chunking or on execution
+order.
 
 The exhaustive oracle enumerates the deterministic leaf response tables;
 intermediate parties answer +1, since their sign cannot change |I_j|.
@@ -23,7 +31,6 @@ times party response tables over the hidden variables in one einsum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,80 +90,133 @@ class LocalModel:
 def _max_abs_powersum(
     cs: np.ndarray, gs: np.ndarray, l: int, start: np.ndarray
 ) -> np.ndarray:
-    """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere.
+    """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere, for each of
+    B problems at once: cs (B, k), gs (B, k, 3), start (B, 3).
 
-    Candidate directions plus projected-gradient polish with backtracking;
-    the returned vector never scores below `start`.
+    The candidates (start, then +-g_j/|g_j| in order; a g_j of norm at most
+    1e-14 gives none) are scored as one array, and the first best of each
+    problem is polished by projected gradient with backtracking. The problems
+    polish in lockstep, each with its own step, accept count and stopping
+    test, so no result scores below its start.
     """
     p = 1.0 / l
+    batch, k = cs.shape
+    rows = np.arange(batch)
 
-    def h(n):
-        return float(np.add.reduce(np.abs(cs + gs @ n) ** p))
+    def terms(n):
+        v = cs + np.einsum("bjc,bc->bj", gs, n)
+        return v, np.abs(v)
 
-    candidates = [start]
-    for g in gs:
-        norm = math.sqrt(g @ g)
-        if norm > 1e-14:
-            candidates.append(g / norm)
-            candidates.append(-g / norm)
-    best = max(candidates, key=h)
-    best_val = h(best)
+    def gradient(v, mags):
+        mags = np.maximum(mags, 1e-12)
+        return np.einsum("bj,bjc->bc", p * mags ** (p - 1.0) * np.sign(v), gs)
 
-    n, val, step = best, best_val, 0.5
-    for _ in range(60):
-        v = cs + gs @ n
-        mags = np.maximum(np.abs(v), 1e-12)
-        grad = (p * mags ** (p - 1.0) * np.sign(v)) @ gs
-        improved = False
-        while step > 1e-12:
-            cand = _normalize(n + step * grad)
-            cand_val = h(cand)
-            if cand_val > val:
-                gain = cand_val - val
-                n, val = cand, cand_val
-                step = min(step * 1.5, 2.0)
-                improved = True
-                break
-            step *= 0.5
-        if not improved or gain < 1e-13:
-            break
-    return n if val >= best_val else best
+    norms = np.sqrt(np.einsum("bjc,bjc->bj", gs, gs))
+    usable = norms > 1e-14
+    unit = gs / np.where(usable, norms, 1.0)[..., None]
+    candidates = np.concatenate(
+        [start[:, None], np.stack([unit, -unit], axis=2).reshape(batch, 2 * k, 3)], axis=1
+    )
+    scores = (
+        np.abs(cs[:, None] + np.einsum("bjc,bmc->bmj", gs, candidates)) ** p
+    ).sum(axis=-1)
+    scores[:, 1:][~np.repeat(usable, 2, axis=1)] = -np.inf
+    pick = np.argmax(scores, axis=1)
+    n, val = candidates[rows, pick], scores[rows, pick]
+
+    # Every problem is stepped each round; one that has stopped keeps its n.
+    step = np.full(batch, 0.5)
+    accepts = np.zeros(batch, dtype=int)
+    grad = gradient(*terms(n))
+    active = np.ones(batch, dtype=bool)
+    while active.any():
+        x = n + step[:, None] * grad
+        norms = np.sqrt(np.einsum("bc,bc->b", x, x))
+        cand = x / np.where(norms > 1e-14, norms, 1.0)[:, None]
+        v, mags = terms(cand)
+        cand_val = (mags**p).sum(axis=-1)
+        up = active & (cand_val > val)
+        gain = cand_val - val
+        n = np.where(up[:, None], cand, n)
+        val = np.where(up, cand_val, val)
+        accepts += up
+        step = np.where(up, np.minimum(step * 1.5, 2.0), step * 0.5)
+        active &= np.where(up, (gain >= 1e-13) & (accepts < 60), step > 1e-12)
+        grad = np.where(up[:, None], gradient(v, mags), grad)
+    return n
 
 
-def _seesaw_once(obj: _CrossObjective, rng, sweeps: int = 120, tol: float = 1e-11):
-    vecs = obj.vectors(lambda *slot: _normalize(rng.normal(size=3)))
+def _seesaw(obj: _CrossObjective, vecs, sweeps: int = 120, tol: float = 1e-11):
+    """Run the see-saw from every start of the batch vecs[i][side] (R, inputs, 3),
+    updating the rows in place; returns each restart's value and converged flag.
+
+    Each sweep advances only the live restarts. A restart stops at its first
+    sweep that gains less than tol and keeps the better of its last two values.
+    """
     factors = obj.factors(vecs)
     value = obj.value(factors)
-    converged = False
+    converged = np.zeros(len(value), dtype=bool)
+    live = np.arange(len(value))
     for _ in range(sweeps):
-        moved = False
+        work = [[rows[live] for rows in ends] for ends in vecs]
+        moved = np.zeros(live.size, dtype=bool)
         for i, ends in enumerate(obj.ends):
             # G_i does not depend on F_i, so both endpoints share it.
             env = obj.environment(factors, i)
             for side, party in enumerate(ends):
-                rows = vecs[i][side]
-                h = obj.block_coeffs(vecs, env, i, side)
-                scale = np.abs(h).max()
-                if scale == 0.0:
-                    continue
-                h = h / scale
-                moved = True
+                rows = work[i][side]
+                h = obj.block_coeffs(work, env, i, side)
+                scale = np.abs(h).max(axis=(1, 2, 3))
+                # A restart whose H is all zero has nothing to move here.
+                ok = scale > 0.0
+                moved |= ok
+                h = h[ok] / scale[ok, None, None, None]
+                u = rows[ok]
                 if party in obj.intermediate:
                     # Input x enters column x only: I_x = H[x, x] . U[x].
-                    rows[:] = _normalize_rows(np.einsum("xxc->xc", h), fallback=rows)
+                    u = _normalize_rows(np.einsum("bxxc->bxc", h), fallback=u)
                 else:
-                    for x in range(len(rows)):
-                        c = np.einsum("yjc,yc->j", h, rows) - h[x] @ rows[x]
-                        rows[x] = _max_abs_powersum(c, h[x], obj.l, rows[x])
-                factors[i] = obj.factor(vecs, i)
+                    for x in range(u.shape[1]):
+                        c = np.einsum("byjc,byc->bj", h, u) - np.einsum(
+                            "bjc,bc->bj", h[:, x], u[:, x]
+                        )
+                        u[:, x] = _max_abs_powersum(c, h[:, x], obj.l, u[:, x])
+                rows[ok] = u
+            factors[i] = obj.factor(work, i)
         new_value = obj.value(factors)
-        if new_value - value < tol:
-            value = max(value, new_value)
-            # With every H zero no block can move, so nothing was searched.
-            converged = moved
+        old_value = value[live]
+        done = new_value - old_value < tol
+        for ends, work_ends in zip(vecs, work):
+            for rows, work_rows in zip(ends, work_ends):
+                rows[live] = work_rows
+        value[live] = np.where(done, np.maximum(old_value, new_value), new_value)
+        # With every H zero no block can move, so nothing was searched.
+        converged[live[done]] = moved[done]
+        live = live[~done]
+        factors = [f[~done] for f in factors]
+        if live.size == 0:
             break
-        value = new_value
-    return value, vecs, converged
+    return value, converged
+
+
+# Restarts run in chunks of this many, which bounds the see-saw's memory
+# whatever the restart count; each restart is independent of the chunking.
+RESTART_CHUNK = 256
+
+
+def _starts(obj: _CrossObjective, seeds) -> list[list[np.ndarray]]:
+    """Endpoint arrays (R, inputs, 3) of the restarts' starting rows; restart
+    r draws its rows from default_rng(seeds[r]) in endpoint order."""
+
+    def draw(child):
+        rng = np.random.default_rng(child)
+        return obj.vectors(lambda *slot: _normalize(rng.normal(size=3)))
+
+    starts = [draw(child) for child in seeds]
+    return [
+        [np.stack([start[i][side] for start in starts]) for side in (0, 1)]
+        for i in range(len(obj.ends))
+    ]
 
 
 def _run_restarts(obj: _CrossObjective, restarts: int, seed: int) -> SearchReport:
@@ -166,13 +226,15 @@ def _run_restarts(obj: _CrossObjective, restarts: int, seed: int) -> SearchRepor
     best_value, best_vecs = -np.inf, None
     history = []
     any_converged = False
-    for child in seeds:
-        rng = np.random.default_rng(child)
-        value, vecs, conv = _seesaw_once(obj, rng)
-        history.append(value)
-        any_converged = any_converged or conv
-        if value > best_value:
-            best_value, best_vecs = value, vecs
+    for lo in range(0, restarts, RESTART_CHUNK):
+        vecs = _starts(obj, seeds[lo : lo + RESTART_CHUNK])
+        value, converged = _seesaw(obj, vecs)
+        history.extend(value.tolist())
+        any_converged = any_converged or bool(converged.any())
+        best = int(np.argmax(value))
+        if value[best] > best_value:
+            best_value = float(value[best])
+            best_vecs = [[rows[best] for rows in ends] for ends in vecs]
     return SearchReport(
         best_value=best_value,
         best_config=obj.strategy(best_vecs),
@@ -241,7 +303,7 @@ def cross_evaluate(
 ) -> float:
     """Evaluate the target S for an explicit strategy on the host network."""
     obj = _CrossObjective(ineq_target, topology_source, states)
-    return obj.value(obj.factors(obj.vectors(strategy.bloch)))
+    return float(obj.value(obj.factors(obj.vectors(strategy.bloch))))
 
 
 # ---------------------------------------------------------------------------

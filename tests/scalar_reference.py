@@ -58,3 +58,72 @@ def local_model_S(ineq, model):
                     term *= float(model.responses[p][j - 1, idx])
             I[j - 1] += term
     return float(np.sum(np.abs(I) ** (1.0 / ineq.l)))
+
+
+def max_abs_powersum(cs, gs, l, start):
+    """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere for one
+    problem: the start and +-g_j/|g_j| as candidates, then projected-gradient
+    polish with backtracking, one candidate at a time."""
+    p = 1.0 / l
+
+    def h(n):
+        return float(np.sum(np.abs(cs + gs @ n) ** p))
+
+    def unit(v):
+        norm = np.sqrt(v @ v)
+        return v / norm if norm > 1e-14 else v
+
+    candidates = [start]
+    for g in gs:
+        norm = np.sqrt(g @ g)
+        if norm > 1e-14:
+            candidates += [g / norm, -g / norm]
+    n = max(candidates, key=h)
+    val, step = h(n), 0.5
+    for _ in range(60):
+        v = cs + gs @ n
+        mags = np.maximum(np.abs(v), 1e-12)
+        grad = (p * mags ** (p - 1.0) * np.sign(v)) @ gs
+        gain = None
+        while step > 1e-12:
+            cand = unit(n + step * grad)
+            if h(cand) > val:
+                gain = h(cand) - val
+                n, val = cand, h(cand)
+                step = min(step * 1.5, 2.0)
+                break
+            step *= 0.5
+        if gain is None or gain < 1e-13:
+            break
+    return n
+
+
+def seesaw_restart(obj, vecs, sweeps=120, tol=1e-11):
+    """One network see-saw restart from the endpoint rows vecs[i][side],
+    updated in place, one block and one leaf input at a time. Returns its
+    value."""
+    factors = obj.factors(vecs)
+    value = float(obj.value(factors))
+    for _ in range(sweeps):
+        for i, ends in enumerate(obj.ends):
+            env = obj.environment(factors, i)
+            for side, party in enumerate(ends):
+                rows = vecs[i][side]
+                h = obj.block_coeffs(vecs, env, i, side)
+                if np.abs(h).max() == 0.0:
+                    continue
+                h = h / np.abs(h).max()
+                for x in range(len(rows)):
+                    if party in obj.intermediate:
+                        norm = np.sqrt(h[x, x] @ h[x, x])
+                        if norm > 1e-14:
+                            rows[x] = h[x, x] / norm
+                    else:
+                        c = np.einsum("yjc,yc->j", h, rows) - h[x] @ rows[x]
+                        rows[x] = max_abs_powersum(c, h[x], obj.l, rows[x])
+                factors[i] = obj.factor(vecs, i)
+        new_value = float(obj.value(factors))
+        if new_value - value < tol:
+            return max(value, new_value)
+        value = new_value
+    return value

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from netbell import optimizer
 from netbell.analysis import critical_visibility_uniform
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
@@ -35,6 +36,10 @@ from netbell.optimizer import (
     LocalModel,
     _CrossObjective,
     _local_columns,
+    _max_abs_powersum,
+    _run_restarts,
+    _seesaw,
+    _starts,
     classical_oracle,
     cross_evaluate,
     discriminate,
@@ -43,7 +48,7 @@ from netbell.optimizer import (
 )
 from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
 from netbell.topology import build_topology, find_leaves
-from scalar_reference import correlator, local_model_S
+from scalar_reference import correlator, local_model_S, max_abs_powersum, seesaw_restart
 
 
 @pytest.fixture(scope="module")
@@ -432,3 +437,129 @@ def test_quantum_bounds_on_generated_networks(n, k, extra, seed):
     for _ in range(3):
         strategy = _random_strategy(ineq, ineq.topology, rng)
         assert evaluate_S(ineq, mixed, strategy).S <= bound + 1e-9
+
+
+# -- batched see-saw ----------------------------------------------------------
+
+
+def _search_case(name):
+    if name == "bilocal_chain":
+        ineq = chsh_inequality(chain_topology(3))
+        return ineq, ineq.topology, {1: random_mixed(1), 2: random_mixed(2)}
+    ineq, host = _case(name)
+    return ineq, host, {s: max_entangled() for s in range(1, host.n_sources + 1)}
+
+
+@pytest.mark.parametrize(
+    "name", ["bilocal_chain", "tree5_on_chain5", "six_party_asymmetric"]
+)
+def test_restarts_are_independent(name):
+    """Each restart of a batch ends where that child run alone ends: as a
+    batch of one, and through the one-block-at-a-time reference loop. The
+    tree5 target gives the chain5 host leaves with their own einsum index;
+    six_party_asymmetric mixes 3- and 4-input leaves."""
+    ineq, host, states = _search_case(name)
+    obj = _CrossObjective(ineq, host, states)
+    seeds = np.random.SeedSequence(11).spawn(4)
+    history = _run_restarts(obj, 4, 11).history
+    for child, value in zip(seeds, history):
+        alone, _ = _seesaw(obj, _starts(obj, [child]))
+        assert value == pytest.approx(alone[0], abs=1e-12)
+        rows = [[r[0] for r in ends] for ends in _starts(obj, [child])]
+        assert value == pytest.approx(seesaw_restart(obj, rows), abs=1e-9)
+
+
+def test_stopped_restart_keeps_its_rows():
+    """On the bilocal chain with mixed states the restarts stop between sweeps
+    15 and 20: those that stopped by sweep 16 keep their rows, and the value
+    they report, while the others sweep on."""
+    ineq, host, states = _search_case("bilocal_chain")
+    obj = _CrossObjective(ineq, host, states)
+    seeds = np.random.SeedSequence(0).spawn(6)
+    _, early = _seesaw(obj, _starts(obj, seeds), sweeps=16)
+    assert early.any() and not early.all()
+    vecs = _starts(obj, seeds)
+    value, converged = _seesaw(obj, vecs)
+    assert converged.all()
+    for r in np.flatnonzero(early):
+        alone = _starts(obj, [seeds[r]])
+        alone_value, _ = _seesaw(obj, alone)
+        assert value[r] == pytest.approx(alone_value[0], abs=1e-12)
+        for ends, alone_ends in zip(vecs, alone):
+            for rows, alone_rows in zip(ends, alone_ends):
+                np.testing.assert_allclose(rows[r], alone_rows[0], rtol=0, atol=1e-12)
+        rows_r = [[rows[r] for rows in ends] for ends in vecs]
+        assert obj.value(obj.factors(rows_r)) == pytest.approx(value[r], abs=1e-12)
+
+
+def test_restart_chunks_do_not_change_the_search(monkeypatch):
+    """restarts = chunk + 1 spans two chunks and gives the unchunked history.
+    On the 4-party chain with mixed states the restarts end apart, so a
+    restart started from another's seed would show."""
+    ineq = chsh_inequality(chain_topology(4))
+    states = {s: random_mixed(s + 3) for s in range(1, 4)}
+    whole = seesaw_network(ineq, states, restarts=3, seed=5)
+    assert min(np.diff(sorted(whole.history))) > 1e-9
+    monkeypatch.setattr(optimizer, "RESTART_CHUNK", 2)
+    chunked = seesaw_network(ineq, states, restarts=3, seed=5)
+    np.testing.assert_allclose(chunked.history, whole.history, rtol=0, atol=1e-12)
+    assert chunked.best_value == pytest.approx(whole.best_value, abs=1e-12)
+    assert chunked.converged == whole.converged
+
+
+@st.composite
+def _powersum_batch(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    k = draw(st.integers(min_value=1, max_value=5))
+    l = draw(st.integers(min_value=1, max_value=4))
+    batch = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(seed)
+    cs = rng.normal(size=(batch, k))
+    gs = rng.normal(size=(batch, k, 3))
+    start = rng.normal(size=(batch, 3))
+    start /= np.linalg.norm(start, axis=1, keepdims=True)
+    # Rows with one zero g_j, and with it constants large enough that the
+    # zero direction would outscore the others; rows with the whole H zero.
+    kind = rng.integers(0, 4, size=batch)
+    gs[kind >= 2, int(rng.integers(k))] = 0.0
+    cs[kind == 2] *= 10.0
+    cs[kind == 3], gs[kind == 3] = 0.0, 0.0
+    return cs, gs, l, start
+
+
+@given(_powersum_batch())
+@settings(max_examples=60, deadline=None)
+def test_max_abs_powersum_batch(problem):
+    """Each result is a unit vector (the start itself for a zero H) scoring at
+    least as high as its start and every +-g_j/|g_j| candidate, and matches
+    the one-problem reference loop."""
+    cs, gs, l, start = problem
+    found = _max_abs_powersum(cs, gs, l, start)
+
+    def score(b, n):
+        return np.sum(np.abs(cs[b] + gs[b] @ n) ** (1.0 / l))
+
+    for b in range(len(cs)):
+        if not gs[b].any():
+            np.testing.assert_array_equal(found[b], start[b])
+            continue
+        assert np.linalg.norm(found[b]) == pytest.approx(1.0, abs=1e-12)
+        best = score(b, found[b])
+        assert best >= score(b, start[b]) - 1e-12
+        for g in gs[b]:
+            if np.linalg.norm(g) > 1e-14:
+                unit = g / np.linalg.norm(g)
+                assert best >= max(score(b, unit), score(b, -unit)) - 1e-12
+        reference = max_abs_powersum(cs[b], gs[b], l, start[b])
+        assert best == pytest.approx(score(b, reference), abs=1e-9)
+
+
+def test_scalar_entry_points_return_floats(tree5, chain5):
+    """The CLI emits these values as JSON numbers: the engine's per-strategy
+    value must come back as a Python float, not a numpy scalar or array."""
+    ineq = chsh_inequality(tree5)
+    states = {s: max_entangled() for s in range(1, 5)}
+    value = cross_evaluate(ineq, chain5, states, chain5_strategy_for_tree5())
+    assert type(value) is float
+    result = evaluate_S(ineq, states, optimal_strategy(ineq, states))
+    assert type(result.S) is float
