@@ -248,6 +248,9 @@ def _options(config: dict, args) -> dict:
     opts["restarts"] = _int(opts["restarts"], "restarts", minimum=1)
     opts["budget"] = _int(opts["budget"], "budget", minimum=0)
     opts["tol"] = _float(opts["tol"], "tol")
+    # A negative tolerance would call a value at the bound a violation.
+    if opts["tol"] < 0:
+        raise ConfigError(f"tol must not be negative, got {opts['tol']!r}")
     if opts["mode"] not in _MODES:
         raise ConfigError(f"mode must be one of {list(_MODES)}, got {opts['mode']!r}")
     return opts

@@ -187,14 +187,14 @@ class _CrossObjective:
     both axes carry the column index j. Operands that reduce to a vector
     over j enter as their product, so einsum operands and indices are spent
     only on leaves with several host sources, which a host other than the
-    target can have. The environment G_i of source i, the same contraction
-    with R_i left out, turns into the block coefficients of either endpoint,
-    in which every I_j is linear.
+    target can have. Every I_j is linear in each endpoint's rows, so the
+    block coefficients of an endpoint are the same contraction, `columns`,
+    evaluated at unit rows.
 
     Every array may carry leading batch axes, one strategy per leading
-    index: endpoint rows of shape (..., inputs, 3) give operands, columns
-    and environments of shape (..., *) and one value per leading index.
-    The Delta weights and correlation matrices are shared by the batch.
+    index: endpoint rows of shape (..., inputs, 3) give operands and
+    columns of shape (..., *) and one value per leading index. The Delta
+    weights and correlation matrices are shared by the batch.
     """
 
     def __init__(
@@ -212,40 +212,41 @@ class _CrossObjective:
         self.intermediate = set(target.leaves.intermediate_set.tolist())
         # Input count per party in the host strategy space.
         self.input_counts = input_counts_for(target)
-        self._leaf_weights = {
+        leaf_weights = {
             p: target.fcbi_map[s].entries
             for p, s in target.leaves.peripheral_map.items()
         }
-        lettered = [p for p in self._leaf_weights if host.degrees[p - 1] > 1]
+        lettered = [p for p in leaf_weights if host.degrees[p - 1] > 1]
         if len(lettered) > len(_LEAF_INDICES):
             raise TooLargeForExhaustiveError(
                 f"{len(lettered)} leaves with several host sources exceed the "
                 f"{len(_LEAF_INDICES)} einsum indices"
             )
-        self._index = dict.fromkeys(self.intermediate, "j")
-        self._index.update(zip(lettered, _LEAF_INDICES))
-        self._role = dict.fromkeys(self.intermediate, "j")
-        self._role.update(dict.fromkeys(lettered, "l"))
-        self.weights = [self._leaf_weights[p] for p in lettered]
-        self._weight_subs = [self._index[p] + "j" for p in lettered]
+        index = dict.fromkeys(self.intermediate, "j")
+        index.update(zip(lettered, _LEAF_INDICES))
+        role = dict.fromkeys(self.intermediate, "j")
+        role.update(dict.fromkeys(lettered, "l"))
+        self.weights = [leaf_weights[p] for p in lettered]
 
         self.ends = [tuple(e) for e in host.edges.tolist()]
         self.corrs = [states[s].corr for s in range(1, host.n_sources + 1)]
         self.inner, self.outer = [], []
-        self._folds, self._subs = [], []
-        for a, b in self.ends:
-            roles = self._role.get(a, "f"), self._role.get(b, "f")
+        self._folds, outer_subs = [], []
+        for i, (a, b) in enumerate(self.ends):
+            roles = role.get(a, "f"), role.get(b, "f")
             spec, out = _OPERANDS[roles]
-            folded = [self._leaf_weights[p] for p, r in zip((a, b), roles) if r == "f"]
+            folded = [leaf_weights[p] for p, r in zip((a, b), roles) if r == "f"]
             self._folds.append(None if spec is None else (spec, folded))
-            letters = {"a": self._index.get(a), "b": self._index.get(b), "j": "j"}
+            letters = {"a": index.get(a), "b": index.get(b), "j": "j"}
             subs = "".join(letters[c] for c in out)
-            (self.inner if subs == "j" else self.outer).append(len(self._subs))
-            self._subs.append(subs)
+            if subs == "j":
+                self.inner.append(i)
+            else:
+                self.outer.append(i)
+                outer_subs.append("..." + subs)
         self._value_spec = ",".join(
-            ["...j"] + ["..." + self._subs[i] for i in self.outer] + self._weight_subs
+            ["...j"] + outer_subs + [index[p] + "j" for p in lettered]
         ) + "->...j"
-        self._env_parts = {}
 
     def vectors(self, row) -> list[list[np.ndarray]]:
         """Endpoint arrays with row(party, input, source) filled in endpoint order."""
@@ -272,7 +273,10 @@ class _CrossObjective:
     def factor(self, vecs, i: int) -> np.ndarray:
         """The operand R_i of source i."""
         a_rows, b_rows = vecs[i]
-        f = a_rows @ self.corrs[i] @ np.swapaxes(b_rows, -1, -2)
+        return self._fold(a_rows @ self.corrs[i] @ np.swapaxes(b_rows, -1, -2), i)
+
+    def _fold(self, f: np.ndarray, i: int) -> np.ndarray:
+        """R_i from the factor F_i: the folded leaves summed in, diagonal taken."""
         if self._folds[i] is None:
             return f
         spec, folded = self._folds[i]
@@ -281,74 +285,36 @@ class _CrossObjective:
     def factors(self, vecs) -> list[np.ndarray]:
         return [self.factor(vecs, i) for i in range(len(self.ends))]
 
-    def _diagonals(self, factors, skip: int | None = None) -> np.ndarray:
-        d = np.ones(self.k)
-        for i in self.inner:
-            if i != skip:
-                d = d * factors[i]
-        return d
-
     def columns(self, factors) -> np.ndarray:
         """All k column correlators I_j."""
+        d = np.ones(self.k)
+        for i in self.inner:
+            d = d * factors[i]
         return np.einsum(
-            self._value_spec,
-            self._diagonals(factors),
-            *[factors[i] for i in self.outer],
-            *self.weights,
+            self._value_spec, d, *[factors[i] for i in self.outer], *self.weights
         )
 
     def value(self, factors) -> np.ndarray:
         """S = sum_j |I_j|^(1/l), one value per leading index."""
         return np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l), axis=-1)
 
-    def _env_layout(self, i: int) -> tuple[str, tuple, np.ndarray]:
-        """einsum spec, missing axes and mask that expand the environment of
-        R_i to G_i[x_a, x_b, j] = dI_j / dF_i[x_a, x_b].
+    def block_coeffs(self, vecs, factors, i: int, side: int) -> np.ndarray:
+        """H with I_j = sum_x H[..., x, j] . U[..., x] for the endpoint rows
+        U = vecs[i][side], of shape (..., inputs, k, 3).
 
-        The einsum leaves an axis only for an endpoint with its own leaf
-        index; each other endpoint gets a unit axis. An intermediate endpoint
-        has input j in column j, hence a delta(x, j) mask; a leaf summed into
-        R_i contributes its weights M_p[x, j].
+        Every I_j is linear in U, so H[x, j, c] is I_j with U replaced by the
+        unit rows e_(x, c). The 3 * inputs unit rows ride on a new axis ahead
+        of the batch axes, and `columns` contracts them all at once; H does
+        not depend on U or on factors[i].
         """
-        if i not in self._env_parts:
-            a, b = self.ends[i]
-            kept = ["..." + self._subs[t] for t in self.outer if t != i]
-            roles = self._role.get(a, "f"), self._role.get(b, "f")
-            out = "".join(self._index[p] for p, r in zip((a, b), roles) if r == "l")
-            spec = ",".join(["...j"] + kept + self._weight_subs) + "->..." + out + "j"
-            missing = []
-            mask = np.ones((self.input_counts[a], self.input_counts[b], self.k))
-            for axis, (p, r) in enumerate(zip((a, b), roles)):
-                if r == "l":
-                    continue
-                missing.append(axis - 3)
-                m = np.eye(self.k) if r == "j" else self._leaf_weights[p]
-                mask *= np.expand_dims(m, 1 - axis)
-            self._env_parts[i] = (spec, tuple(missing), mask)
-        return self._env_parts[i]
-
-    def environment(self, factors, i: int) -> np.ndarray:
-        """G_i with shape (..., inputs of a, inputs of b, k); it does not depend on F_i."""
-        spec, missing, mask = self._env_layout(i)
-        env = np.einsum(
-            spec,
-            self._diagonals(factors, skip=i),
-            *[factors[t] for t in self.outer if t != i],
-            *self.weights,
-        )
-        return np.expand_dims(env, missing) * mask
-
-    def block_coeffs(self, vecs, env: np.ndarray, i: int, side: int) -> np.ndarray:
-        """H with I_j = sum_x H[x, j] . U[x] for the endpoint rows U = vecs[i][side].
-
-        I_j is linear in F_i = U_a T_i U_b^T with coefficients G_i = env, so
-        contracting G_i with the other endpoint's rows through T_i leaves
-        H[..., x, j] of shape (..., inputs, k, 3).
-        """
-        a_rows, b_rows = vecs[i]
-        if side == 0:
-            return np.einsum("...xoj,...oc->...xjc", env, b_rows @ self.corrs[i].T)
-        return np.einsum("...oxj,...oc->...xjc", env, a_rows @ self.corrs[i])
+        rows = vecs[i][side]
+        n = rows.shape[-2]
+        ends = list(vecs[i])
+        ends[side] = np.eye(3 * n).reshape((3 * n,) + (1,) * (rows.ndim - 2) + (n, 3))
+        unit = self._fold(ends[0] @ self.corrs[i] @ np.swapaxes(ends[1], -1, -2), i)
+        cols = self.columns([unit if t == i else f for t, f in enumerate(factors)])
+        h = np.moveaxis(cols, 0, -2).reshape(cols.shape[1:-1] + (n, 3, self.k))
+        return np.swapaxes(h, -1, -2)
 
 
 # Four einsum indices per source, a row and a column for each qubit, of numpy's 52.

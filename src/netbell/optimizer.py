@@ -3,17 +3,17 @@ topology discrimination.
 
 The see-saw is a block coordinate ascent over the source endpoints of the
 contraction engine `evaluator._CrossObjective`. With everything else fixed,
-I_j = sum_x H[x, j] . U[x] is linear in an endpoint's Bloch rows U, and H
-comes from the environment of the endpoint's source: the same contraction
-with that source left out. An intermediate party's input x enters column x
-only, so its whole block has the closed-form update U[x] = H[x, x] / |H[x, x]|;
-a leaf's input enters every column, and each of its rows is polished by
-projected gradient on the sphere. Each H is first divided by its largest
-entry: the best block does not depend on that scale, and on networks with
-tens of leaves the raw entries fall below the updates' absolute floors
-(1e-14 on norms, 1e-12 on magnitudes). A source's operand is recomputed
-once both its endpoints are updated: its environment, and so both blocks,
-do not depend on it.
+I_j = sum_x H[x, j] . U[x] is linear in an endpoint's Bloch rows U, so H
+is read off the engine's one contraction, `columns`, evaluated with U
+replaced by the unit rows e_(x, c). An intermediate party's input x enters
+column x only, so its whole block has the closed-form update
+U[x] = H[x, x] / |H[x, x]|; a leaf's input enters every column, and each of
+its rows is polished by projected gradient on the sphere. Each H is first
+divided by its largest entry: the best block does not depend on that scale,
+and on networks with tens of leaves the raw entries fall below the updates'
+absolute floors (1e-14 on norms, 1e-12 on magnitudes). A source's operand is
+recomputed once both its endpoints are updated: neither block's H depends
+on it.
 
 All restarts run as one see-saw on a leading batch axis of the endpoint
 arrays, in chunks of RESTART_CHUNK. Each sweep advances only the live
@@ -45,7 +45,6 @@ from .evaluator import (
     MeasurementStrategy,
     _CrossObjective,
     _normalize,
-    evaluate_S,
     input_counts_for,
 )
 from .fcbi import CHSH, _normalize_rows, sign_table
@@ -161,11 +160,9 @@ def _seesaw(obj: _CrossObjective, vecs, sweeps: int = 120, tol: float = 1e-11):
         work = [[rows[live] for rows in ends] for ends in vecs]
         moved = np.zeros(live.size, dtype=bool)
         for i, ends in enumerate(obj.ends):
-            # G_i does not depend on F_i, so both endpoints share it.
-            env = obj.environment(factors, i)
             for side, party in enumerate(ends):
                 rows = work[i][side]
-                h = obj.block_coeffs(work, env, i, side)
+                h = obj.block_coeffs(work, factors, i, side)
                 scale = np.abs(h).max(axis=(1, 2, 3))
                 # A restart whose H is all zero has nothing to move here.
                 ok = scale > 0.0
@@ -222,12 +219,14 @@ def _starts(obj: _CrossObjective, seeds) -> list[list[np.ndarray]]:
 def _run_restarts(obj: _CrossObjective, restarts: int, seed: int) -> SearchReport:
     if restarts < 1:
         raise BadRestartsError(f"restarts must be at least 1, got {restarts}")
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    # spawn continues the child count, so spawning chunk by chunk gives each
+    # restart the seed of one spawn(restarts) without holding all of them.
+    master = np.random.SeedSequence(seed)
     best_value, best_vecs = -np.inf, None
     history = []
     any_converged = False
     for lo in range(0, restarts, RESTART_CHUNK):
-        vecs = _starts(obj, seeds[lo : lo + RESTART_CHUNK])
+        vecs = _starts(obj, master.spawn(min(RESTART_CHUNK, restarts - lo)))
         value, converged = _seesaw(obj, vecs)
         history.extend(value.tolist())
         any_converged = any_converged or bool(converged.any())
@@ -252,13 +251,7 @@ def seesaw_network(
     seed: int = 0,
 ) -> SearchReport:
     """Maximize S over separable strategies on the inequality's own network."""
-    obj = _CrossObjective(ineq, ineq.topology, states)
-    report = _run_restarts(obj, restarts, seed)
-    # Round-trip through the public evaluator so the reported value is the
-    # one any caller would recompute.
-    result = evaluate_S(ineq, states, report.best_config)
-    report.best_value = max(report.best_value, result.S)
-    return report
+    return _run_restarts(_CrossObjective(ineq, ineq.topology, states), restarts, seed)
 
 
 def discriminate(

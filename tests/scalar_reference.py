@@ -106,10 +106,9 @@ def seesaw_restart(obj, vecs, sweeps=120, tol=1e-11):
     value = float(obj.value(factors))
     for _ in range(sweeps):
         for i, ends in enumerate(obj.ends):
-            env = obj.environment(factors, i)
             for side, party in enumerate(ends):
                 rows = vecs[i][side]
-                h = obj.block_coeffs(vecs, env, i, side)
+                h = obj.block_coeffs(vecs, factors, i, side)
                 if np.abs(h).max() == 0.0:
                     continue
                 h = h / np.abs(h).max()

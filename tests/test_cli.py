@@ -336,6 +336,27 @@ def test_contract_faults(name, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "options"])
+def test_negative_tol_is_exit_2(source, tmp_path):
+    """A negative tolerance would turn discriminate's BOUNDARY at sqrt(2) into
+    VIOLATED and eval's saturation into a miss; from the flag or from the
+    config's options it is refused before any search runs."""
+    if source == "flag":
+        proc = run_cli("discriminate", f"{CONFIG_DIR}/discriminate_tree_vs_chain.json",
+                       "--restarts", "4", "--tol", "-1")
+    else:
+        config = json.loads((CONFIG_DIR / "six_party.json").read_text())
+        config.setdefault("options", {})["tol"] = -1
+        path = tmp_path / "negative_tol.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("eval", str(path))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0])["error"] == "ConfigError"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("name", ["int_too_long", "not_utf8"])
 def test_unreadable_config_is_exit_2(name, tmp_path):
     """JSON that json.load refuses with a plain ValueError (an integer past

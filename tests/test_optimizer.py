@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -178,27 +179,34 @@ def _random_strategy(ineq, host, rng):
     return strategy
 
 
-def _reference_S(ineq, host, states, strategy):
-    """Sum of host correlators over the Delta-weighted leaf inputs, per column."""
+def _reference_columns(ineq, host, states, strategy):
+    """Each I_j as the sum of host correlators over the Delta-weighted leaf inputs."""
     leaves = [int(p) for p in ineq.leaves.leaf_set]
     matrices = [ineq.leaf_fcbi(p).entries for p in leaves]
-    total = 0.0
+    columns = np.zeros(ineq.k)
     for j in range(ineq.k):
-        column = 0.0
         for combo in product(*[range(m.shape[0]) for m in matrices]):
             x = {int(p): j + 1 for p in ineq.leaves.intermediate_set}
             coeff = 1.0
             for leaf, m, c in zip(leaves, matrices, combo):
                 coeff *= m[c, j]
                 x[leaf] = c + 1
-            column += coeff * correlator(host, states, strategy, x)
-        total += abs(column) ** (1.0 / ineq.l)
-    return total
+            columns[j] += coeff * correlator(host, states, strategy, x)
+    return columns
+
+
+def _reference_S(ineq, host, states, strategy):
+    columns = _reference_columns(ineq, host, states, strategy)
+    return float(np.sum(np.abs(columns) ** (1.0 / ineq.l)))
 
 
 def _case(name):
     if name == "tree5_on_chain5":
         return chsh_inequality(tree5_topology()), chain_topology(5)
+    if name == "tree5_on_ring5":
+        return chsh_inequality(tree5_topology()), build_topology(
+            5, [(p, p % 5 + 1) for p in range(1, 6)]
+        )
     ineq = _asymmetric()
     return ineq, ineq.topology
 
@@ -251,25 +259,33 @@ def test_cross_evaluate_random_trees(n, k, host_cycle, seed):
     )
 
 
-@pytest.mark.parametrize("name", ["tree5_on_chain5", "six_party_asymmetric"])
+@pytest.mark.parametrize(
+    "name", ["tree5_on_chain5", "tree5_on_ring5", "six_party_asymmetric"]
+)
 def test_block_coeffs_reproduce_columns(name):
-    """For every source endpoint, I_j = sum_x H[x, j] . U[x] on all k columns,
-    whatever the endpoint's rows U."""
+    """For every source endpoint, sum_x H[x, j] . U[x] is the scalar
+    correlator sum I_j whatever the endpoint's rows U. The unit rows ride
+    ahead of the batch axes, so H of a batch of 3 strategies is, entry by
+    entry, the H of each strategy alone. On the ring host every tree5 leaf
+    has two host sources."""
     ineq, host = _case(name)
     rng = np.random.default_rng(5)
     states = {s: random_mixed(20 + s) for s in range(1, host.n_sources + 1)}
     obj = _CrossObjective(ineq, host, states)
-    vecs = obj.vectors(lambda *slot: rng.normal(size=3))
+    batch = _starts(obj, np.random.SeedSequence(5).spawn(3))
     for i in range(len(obj.ends)):
-        env = obj.environment(obj.factors(vecs), i)
         for side in (0, 1):
-            h = obj.block_coeffs(vecs, env, i, side)
+            h_batch = obj.block_coeffs(batch, obj.factors(batch), i, side)
+            for b in range(3):
+                vecs = [[rows[b].copy() for rows in ends] for ends in batch]
+                h = obj.block_coeffs(vecs, obj.factors(vecs), i, side)
+                np.testing.assert_allclose(h_batch[b], h, rtol=0, atol=1e-15)
             for _ in range(2):
                 rows = rng.normal(size=vecs[i][side].shape)
                 vecs[i][side] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-                columns = obj.columns(obj.factors(vecs))
+                expected = _reference_columns(ineq, host, states, obj.strategy(vecs))
                 np.testing.assert_allclose(
-                    np.einsum("xjc,xc->j", h, vecs[i][side]), columns, atol=1e-12
+                    np.einsum("xjc,xc->j", h, vecs[i][side]), expected, rtol=0, atol=1e-12
                 )
 
 
@@ -505,6 +521,37 @@ def test_restart_chunks_do_not_change_the_search(monkeypatch):
     np.testing.assert_allclose(chunked.history, whole.history, rtol=0, atol=1e-12)
     assert chunked.best_value == pytest.approx(whole.best_value, abs=1e-12)
     assert chunked.converged == whole.converged
+
+
+def test_restart_seeds_are_spawned_chunk_by_chunk(monkeypatch):
+    """With the see-saw stubbed out, 2 * 10^4 restarts stay far below the
+    7.5 MB that spawning every child SeedSequence (about 376 B each) before
+    the first chunk would take; each chunk still gets the next children."""
+    ineq = chsh_inequality(chain_topology(3))
+    obj = _CrossObjective(ineq, ineq.topology, {1: max_entangled(), 2: max_entangled()})
+    last_keys = []
+
+    def starts(obj, seeds):
+        last_keys.append(seeds[-1].spawn_key)
+        return [[np.zeros((len(seeds), *rows.shape)) for rows in ends]
+                for ends in obj.vectors(lambda *slot: np.zeros(3))]
+
+    def seesaw(obj, vecs):
+        return np.zeros(len(vecs[0][0])), np.ones(len(vecs[0][0]), dtype=bool)
+
+    monkeypatch.setattr(optimizer, "_starts", starts)
+    monkeypatch.setattr(optimizer, "_seesaw", seesaw)
+    restarts = 2 * 10**4
+    tracemalloc.start()
+    try:
+        report = _run_restarts(obj, restarts, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.restarts_used == restarts and len(report.history) == restarts
+    chunk = optimizer.RESTART_CHUNK
+    assert last_keys == [(min(lo + chunk, restarts) - 1,) for lo in range(0, restarts, chunk)]
+    assert peak < 4 * 10**6, peak
 
 
 @st.composite
