@@ -26,11 +26,8 @@ from .evaluator import (
 )
 from .fcbi import state_max
 from .networks import chsh_inequality
-from .qstate import TwoQubitState, pure_schmidt
+from .qstate import MAX_SCHMIDT, TwoQubitState, pure_schmidt
 from .topology import NetworkTopology
-
-# Schmidt coefficient of a maximally entangled state.
-_MAX_SCHMIDT = 1.0 / np.sqrt(2.0)
 
 
 def format_sig(x: float, digits: int = 12) -> float:
@@ -97,7 +94,7 @@ def critical_visibility_uniform(
 
 
 def werner_violation_threshold(
-    ineq: NetworkInequality, schmidt: dict[int, float] | float = _MAX_SCHMIDT
+    ineq: NetworkInequality, schmidt: dict[int, float] | float = MAX_SCHMIDT
 ) -> float:
     """Threshold on the product of the peripheral sources' visibilities, with
     noiseless intermediate sources: (beta/q)^l on maximally entangled states.
@@ -113,7 +110,7 @@ def werner_violation_threshold(
     threshold = _bound_ratio(ineq) ** ineq.l
     for s in sorted(ineq.leaves.peripheral_set):
         a = schmidt[s] if isinstance(schmidt, dict) else schmidt
-        if abs(a - _MAX_SCHMIDT) > 1e-12:
+        if abs(a - MAX_SCHMIDT) > 1e-12:
             m = ineq.fcbi_map[s]
             threshold *= m.quantum_opt / state_max(m, pure_schmidt(a))
     return float(threshold)

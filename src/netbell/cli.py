@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -23,6 +22,7 @@ from .fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog
 from .networks import chsh_inequality
 from .optimizer import LocalModel
 from .qstate import (
+    MAX_SCHMIDT,
     WernerSpec,
     bloch_decompose,
     classical_zz,
@@ -36,8 +36,6 @@ from .topology import build_topology, find_leaves
 _TOP_KEYS = {"network", "inequality", "states", "strategy", "options", "host_network"}
 _OPTION_KEYS = {"seed", "restarts", "budget", "tol", "mode"}
 _MODES = ("exhaustive", "random")
-# Schmidt coefficient of a maximally entangled state, as a Python float.
-_MAX_SCHMIDT = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +172,11 @@ def _parse_state(spec):
         return werner(
             WernerSpec(
                 v=_float(spec.get("v", 1.0), "werner v"),
-                schmidt_a=_float(spec.get("schmidt_a", _MAX_SCHMIDT), "schmidt_a"),
+                schmidt_a=_float(spec.get("schmidt_a", MAX_SCHMIDT), "schmidt_a"),
             )
         )
     if kind == "pure":
-        return pure_schmidt(_float(spec.get("schmidt_a", _MAX_SCHMIDT), "schmidt_a"))
+        return pure_schmidt(_float(spec.get("schmidt_a", MAX_SCHMIDT), "schmidt_a"))
     if kind == "classical_zz":
         return classical_zz()
     if kind == "product_00":
@@ -486,8 +484,11 @@ def _emit(payload: dict, args) -> None:
             raise ConfigError("the report holds a non-finite number; "
                               "check the magnitudes in the config") from None
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -513,21 +514,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Exit 3 emits a partial report; an error while emitting it makes exit 2.
     try:
         config = _load_config(args.config)
         opts = _options(config, args)
-        _emit(_COMMANDS[args.command](config, args, opts), args)
-    except NonConvergenceError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        _emit({"partial": True, "best_value": _sig(exc.best_value)
-               if exc.best_value is not None else None}, args)
-        return 3
+        try:
+            payload, code = _COMMANDS[args.command](config, args, opts), 0
+        except NonConvergenceError as exc:
+            best = None if exc.best_value is None else _sig(exc.best_value)
+            payload, code, error = {"partial": True, "best_value": best}, 3, exc
+        _emit(payload, args)
     except NetbellError as exc:
+        code, error = 2, exc
+    if code:
         sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    return 0
+            {"error": type(error).__name__, "message": str(error)}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

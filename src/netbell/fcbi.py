@@ -5,6 +5,9 @@ coefficient matrix. This module holds the catalog (CHSH, chained, elegant),
 the exact classical bound by sign enumeration, a see-saw maximizer for
 quantum values on arbitrary two-qubit states, and the column-norm witness
 that certifies quantum upper bounds.
+
+`best_of_restarts` runs the restarts of this see-saw and of the network
+one in `optimizer`; a see-saw supplies only its draw, value and sweep.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadKError, NonConvergenceError, TooLargeError
+from .errors import BadKError, BadRestartsError, NonConvergenceError, TooLargeError
 from .qstate import TwoQubitState
 
 ENUMERATION_CAP_BITS = 24
@@ -190,55 +193,91 @@ def _normalize_rows(a: np.ndarray, fallback: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _seesaw_value(
-    m: np.ndarray,
-    corr: np.ndarray,
-    restarts: int,
-    seed: int,
-    iters: int = 200,
-    stag_tol: float = 1e-12,
-) -> tuple[float, np.ndarray]:
-    """Best of `restarts` see-saws, all advanced together on one array.
+# Restarts run in chunks of this many, which bounds a see-saw's memory
+# whatever the restart count; each restart is independent of the chunking.
+RESTART_CHUNK = 256
 
-    With the A-side fixed, the best B observables are b_y || T^T d_y; with
-    those fixed, the best A observables are a_x || sum_y M[x,y] T b_y. Both
-    half-steps are exact maximizations, so each restart's value is monotone;
-    a restart stops at the first sweep that gains less than stag_tol.
-    Restart r starts from default_rng(child r of SeedSequence(seed)); ties go
-    to the lowest r. Returns (value, bloch_rows) of the best restart.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    a = _normalize_rows(
-        np.stack(
-            [
-                np.random.default_rng(child).normal(size=(m.shape[0], 3))
-                for child in np.random.SeedSequence(seed).spawn(restarts)
-            ]
-        )
-    )
-    value = _objective(a, m, corr)
-    converged = np.zeros(restarts, dtype=bool)
-    live = np.arange(restarts)
-    for _ in range(iters):
-        a_live = a[live]
-        b = _normalize_rows((m.T @ a_live) @ corr)
-        a_live = _normalize_rows(m @ (b @ corr.T), fallback=a_live)
-        new_value = _objective(a_live, m, corr)
-        old_value = value[live]
-        done = new_value - old_value < stag_tol
-        a[live] = a_live
-        value[live] = np.where(done, np.maximum(old_value, new_value), new_value)
-        converged[live[done]] = True
+
+def _ascend(rows, value, sweep, sweeps: int, tol: float):
+    """Sweep the batch of restarts `rows` in place; returns each restart's
+    value and converged flag. value(rows) scores the starts; sweep(rows)
+    updates the live restarts' rows in place and returns their new values and
+    which of them moved. A restart stops at its first sweep that gains less
+    than tol, keeps the better of its last two values, and has converged if
+    that sweep moved it."""
+    val = value(rows)
+    converged = np.zeros(len(val), dtype=bool)
+    live = np.arange(len(val))
+    for _ in range(sweeps):
+        work = [r[live] for r in rows]
+        new_val, moved = sweep(work)
+        old_val = val[live]
+        done = new_val - old_val < tol
+        for r, w in zip(rows, work):
+            r[live] = w
+        val[live] = np.where(done, np.maximum(old_val, new_val), new_val)
+        converged[live[done]] = moved[done]
         live = live[~done]
         if live.size == 0:
             break
-    best = int(np.argmax(value))
-    if not converged.any():
+    return val, converged
+
+
+def best_of_restarts(draw, value, sweep, restarts, seed, sweeps, tol):
+    """Best of `restarts` see-saws, `_ascend`ed chunk by chunk.
+
+    draw(rngs) gives a chunk's starting arrays, restart r drawn from
+    default_rng(child r of SeedSequence(seed)); ties go to the lowest r.
+    Returns the best restart's value and arrays, every restart's value in
+    restart order, and whether any restart converged.
+    """
+    if restarts < 1:
+        raise BadRestartsError(f"restarts must be at least 1, got {restarts}")
+    # spawn continues the child count, so spawning chunk by chunk gives each
+    # restart the seed of one spawn(restarts) without holding all of them.
+    master = np.random.SeedSequence(seed)
+    best_value, best_rows, history, any_converged = -np.inf, None, [], False
+    for lo in range(0, restarts, RESTART_CHUNK):
+        seeds = master.spawn(min(RESTART_CHUNK, restarts - lo))
+        rows = draw([np.random.default_rng(child) for child in seeds])
+        val, converged = _ascend(rows, value, sweep, sweeps, tol)
+        history.extend(val.tolist())
+        any_converged = any_converged or bool(converged.any())
+        best = int(np.argmax(val))
+        if val[best] > best_value:
+            best_value, best_rows = float(val[best]), [r[best] for r in rows]
+    return best_value, best_rows, history, any_converged
+
+
+def _seesaw_value(m, corr, restarts: int, seed: int) -> tuple[float, np.ndarray]:
+    """Best of `restarts` see-saws over the A-side Bloch rows.
+
+    With the A-side fixed, the best B observables are b_y || T^T d_y; with
+    those fixed, the best A observables are a_x || sum_y M[x,y] T b_y. Both
+    half-steps are exact maximizations, so each restart's value is monotone.
+    Returns (value, bloch_rows) of the best restart.
+    """
+
+    def sweep(rows):
+        a = rows[0]
+        b = _normalize_rows((m.T @ a) @ corr)
+        a[...] = _normalize_rows(m @ (b @ corr.T), fallback=a)
+        return _objective(a, m, corr), np.ones(len(a), dtype=bool)
+
+    def draw(rngs):
+        starts = [rng.normal(size=(m.shape[0], 3)) for rng in rngs]
+        return [_normalize_rows(np.stack(starts))]
+
+    best, rows, _, converged = best_of_restarts(
+        draw,
+        lambda rows: _objective(rows[0], m, corr),
+        sweep, restarts, seed, sweeps=200, tol=1e-12,
+    )
+    if not converged:
         raise NonConvergenceError(
-            "see-saw failed to converge in every restart", best_value=float(value[best])
+            "see-saw failed to converge in every restart", best_value=best
         )
-    return float(value[best]), a[best]
+    return best, rows[0]
 
 
 def quantum_opt_numeric(

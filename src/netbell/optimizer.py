@@ -15,13 +15,12 @@ absolute floors (1e-14 on norms, 1e-12 on magnitudes). A source's operand is
 recomputed once both its endpoints are updated: neither block's H depends
 on it.
 
-All restarts run as one see-saw on a leading batch axis of the endpoint
-arrays, in chunks of RESTART_CHUNK. Each sweep advances only the live
-restarts, and a restart stops on its own at its first sweep that gains less
-than the tolerance; a leaf's rows are polished for every live restart at
-once. Restart r starts from its own sub-seed of the master seed, so no
-restart's result depends on the others, on the chunking or on execution
-order.
+The restarts run through `fcbi.best_of_restarts`, which the bipartite
+see-saw uses too: it holds a restart's endpoint arrays as one flat list
+[U_1a, U_1b, U_2a, ...], batched on a leading axis, and `_ends` regroups that
+list as the engine's vecs[i][side] without copying a row. `_sweep` updates
+every block of the live restarts once, recomputing the source operands from
+their rows, and a leaf's rows are polished for every live restart at once.
 
 The exhaustive oracle enumerates the deterministic leaf response tables;
 intermediate parties answer +1, since their sign cannot change |I_j|.
@@ -37,7 +36,6 @@ import numpy as np
 
 from .builder import NetworkInequality
 from .errors import (
-    BadRestartsError,
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
@@ -47,7 +45,7 @@ from .evaluator import (
     _normalize,
     input_counts_for,
 )
-from .fcbi import CHSH, _normalize_rows, sign_table
+from .fcbi import CHSH, _normalize_rows, best_of_restarts, sign_table
 from .qstate import TwoQubitState
 from .topology import NetworkTopology
 
@@ -145,101 +143,60 @@ def _max_abs_powersum(
     return n
 
 
-def _seesaw(obj: _CrossObjective, vecs, sweeps: int = 120, tol: float = 1e-11):
-    """Run the see-saw from every start of the batch vecs[i][side] (R, inputs, 3),
-    updating the rows in place; returns each restart's value and converged flag.
+def _draw(obj: _CrossObjective, rngs) -> list[np.ndarray]:
+    """Starting rows [U_1a, U_1b, U_2a, ...] batched over the restarts;
+    restart r draws its rows from rngs[r] in endpoint order."""
+    starts = [obj.vectors(lambda *slot: _normalize(rng.normal(size=3))) for rng in rngs]
+    return [np.stack(rows) for rows in zip(*(sum(vecs, []) for vecs in starts))]
 
-    Each sweep advances only the live restarts. A restart stops at its first
-    sweep that gains less than tol and keeps the better of its last two values.
-    """
+
+def _ends(rows):
+    """The engine's vecs[i][side] over the same arrays as [U_1a, U_1b, ...]."""
+    return [rows[i : i + 2] for i in range(0, len(rows), 2)]
+
+
+def _sweep(obj: _CrossObjective, rows):
+    """Update every endpoint block of the batch in place; returns the new
+    values and which restarts had a block with a nonzero H."""
+    vecs = _ends(rows)
     factors = obj.factors(vecs)
-    value = obj.value(factors)
-    converged = np.zeros(len(value), dtype=bool)
-    live = np.arange(len(value))
-    for _ in range(sweeps):
-        work = [[rows[live] for rows in ends] for ends in vecs]
-        moved = np.zeros(live.size, dtype=bool)
-        for i, ends in enumerate(obj.ends):
-            for side, party in enumerate(ends):
-                rows = work[i][side]
-                h = obj.block_coeffs(work, factors, i, side)
-                scale = np.abs(h).max(axis=(1, 2, 3))
-                # A restart whose H is all zero has nothing to move here.
-                ok = scale > 0.0
-                moved |= ok
-                h = h[ok] / scale[ok, None, None, None]
-                u = rows[ok]
-                if party in obj.intermediate:
-                    # Input x enters column x only: I_x = H[x, x] . U[x].
-                    u = _normalize_rows(np.einsum("bxxc->bxc", h), fallback=u)
-                else:
-                    for x in range(u.shape[1]):
-                        c = np.einsum("byjc,byc->bj", h, u) - np.einsum(
-                            "bjc,bc->bj", h[:, x], u[:, x]
-                        )
-                        u[:, x] = _max_abs_powersum(c, h[:, x], obj.l, u[:, x])
-                rows[ok] = u
-            factors[i] = obj.factor(work, i)
-        new_value = obj.value(factors)
-        old_value = value[live]
-        done = new_value - old_value < tol
-        for ends, work_ends in zip(vecs, work):
-            for rows, work_rows in zip(ends, work_ends):
-                rows[live] = work_rows
-        value[live] = np.where(done, np.maximum(old_value, new_value), new_value)
-        # With every H zero no block can move, so nothing was searched.
-        converged[live[done]] = moved[done]
-        live = live[~done]
-        factors = [f[~done] for f in factors]
-        if live.size == 0:
-            break
-    return value, converged
-
-
-# Restarts run in chunks of this many, which bounds the see-saw's memory
-# whatever the restart count; each restart is independent of the chunking.
-RESTART_CHUNK = 256
-
-
-def _starts(obj: _CrossObjective, seeds) -> list[list[np.ndarray]]:
-    """Endpoint arrays (R, inputs, 3) of the restarts' starting rows; restart
-    r draws its rows from default_rng(seeds[r]) in endpoint order."""
-
-    def draw(child):
-        rng = np.random.default_rng(child)
-        return obj.vectors(lambda *slot: _normalize(rng.normal(size=3)))
-
-    starts = [draw(child) for child in seeds]
-    return [
-        [np.stack([start[i][side] for start in starts]) for side in (0, 1)]
-        for i in range(len(obj.ends))
-    ]
+    moved = np.zeros(len(rows[0]), dtype=bool)
+    for i, ends in enumerate(obj.ends):
+        for side, party in enumerate(ends):
+            h = obj.block_coeffs(vecs, factors, i, side)
+            scale = np.abs(h).max(axis=(1, 2, 3))
+            # A restart whose H is all zero has nothing to move here.
+            ok = scale > 0.0
+            moved |= ok
+            h = h[ok] / scale[ok, None, None, None]
+            u = vecs[i][side][ok]
+            if party in obj.intermediate:
+                # Input x enters column x only: I_x = H[x, x] . U[x].
+                u = _normalize_rows(np.einsum("bxxc->bxc", h), fallback=u)
+            else:
+                for x in range(u.shape[1]):
+                    c = np.einsum("byjc,byc->bj", h, u) - np.einsum(
+                        "bjc,bc->bj", h[:, x], u[:, x]
+                    )
+                    u[:, x] = _max_abs_powersum(c, h[:, x], obj.l, u[:, x])
+            vecs[i][side][ok] = u
+        factors[i] = obj.factor(vecs, i)
+    return obj.value(factors), moved
 
 
 def _run_restarts(obj: _CrossObjective, restarts: int, seed: int) -> SearchReport:
-    if restarts < 1:
-        raise BadRestartsError(f"restarts must be at least 1, got {restarts}")
-    # spawn continues the child count, so spawning chunk by chunk gives each
-    # restart the seed of one spawn(restarts) without holding all of them.
-    master = np.random.SeedSequence(seed)
-    best_value, best_vecs = -np.inf, None
-    history = []
-    any_converged = False
-    for lo in range(0, restarts, RESTART_CHUNK):
-        vecs = _starts(obj, master.spawn(min(RESTART_CHUNK, restarts - lo)))
-        value, converged = _seesaw(obj, vecs)
-        history.extend(value.tolist())
-        any_converged = any_converged or bool(converged.any())
-        best = int(np.argmax(value))
-        if value[best] > best_value:
-            best_value = float(value[best])
-            best_vecs = [[rows[best] for rows in ends] for ends in vecs]
+    value, rows, history, converged = best_of_restarts(
+        lambda rngs: _draw(obj, rngs),
+        lambda rows: obj.value(obj.factors(_ends(rows))),
+        lambda rows: _sweep(obj, rows),
+        restarts, seed, sweeps=120, tol=1e-11,
+    )
     return SearchReport(
-        best_value=best_value,
-        best_config=obj.strategy(best_vecs),
+        best_value=value,
+        best_config=obj.strategy(_ends(rows)),
         restarts_used=restarts,
         seed=seed,
-        converged=any_converged,
+        converged=converged,
         history=history,
     )
 

@@ -7,11 +7,15 @@ of T sorted in descending order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSchmidtError, BadVisibilityError, NotAStateError
+
+# Schmidt coefficient of a maximally entangled state; a Python float, as the CLI wants.
+MAX_SCHMIDT = 1.0 / math.sqrt(2.0)
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -104,7 +108,7 @@ class WernerSpec:
     """Visibility-v mixture of the Schmidt state a|00> + b|11> with white noise."""
 
     v: float
-    schmidt_a: float = 1.0 / np.sqrt(2.0)
+    schmidt_a: float = MAX_SCHMIDT
 
 
 def pure_schmidt(a: float) -> TwoQubitState:

@@ -245,6 +245,31 @@ def test_output_file(tmp_path):
     assert json.loads(target.read_text())["l"] == 3
 
 
+def test_unwritable_output_is_exit_2(monkeypatch, capsys, tmp_path):
+    """An --output under a missing directory exits 2 with one JSON line on
+    stderr, also when the report to write is exit 3's partial one."""
+    target = tmp_path / "missing" / "report.json"
+    proc = run_cli("analyze", f"{CONFIG_DIR}/tree5.json", "--output", str(target))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0])["error"] == "ConfigError"
+    assert proc.stdout == ""
+
+    def boom(*args, **kwargs):
+        raise NonConvergenceError("did not converge", best_value=1.23)
+
+    monkeypatch.setattr(cli.optimizer, "seesaw_network", boom)
+    code = cli.main(["optimize", f"{CONFIG_DIR}/six_party.json", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0])["error"] == "ConfigError"
+    assert captured.out == ""
+    assert not target.exists()
+
+
 def strict_json(text):
     """Parse JSON, refusing the NaN and Infinity extensions."""
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netbell.errors import BadKError, NonConvergenceError, TooLargeError
+from netbell import fcbi
+from netbell.errors import BadKError, BadRestartsError, NonConvergenceError, TooLargeError
 from netbell.fcbi import (
     CHAINED,
     CHSH,
@@ -276,6 +277,18 @@ def test_batched_seesaw_matches_serial_restarts(matrix, state):
             np.testing.assert_allclose(batched[2], serial[2], rtol=0, atol=1e-15)
 
 
+def test_batched_seesaw_chunks_match_serial(monkeypatch):
+    """In chunks of two, restart r still draws from child r of the seed and
+    the best restart, here in the third chunk, is the serial reference's."""
+    monkeypatch.setattr(fcbi, "RESTART_CHUNK", 2)
+    m, corr = _PARITY_MATRICES["ebi"], random_mixed(3).corr
+    serial = _serial_seesaw(m, corr, 7, 0)
+    batched = _batched_seesaw(m, corr, 7, 0)
+    assert serial[0] == batched[0] == "ok"
+    assert abs(batched[1] - serial[1]) <= 1e-15
+    np.testing.assert_allclose(batched[2], serial[2], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("seed", [4, 7])
 def test_batched_seesaw_nonconvergence_matches_serial(seed):
     """EBI on these states converges too slowly for stag_tol in 200 sweeps
@@ -300,5 +313,5 @@ def test_state_max_on_near_degenerate_lower_spectrum(k):
 
 
 def test_seesaw_refuses_zero_restarts():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRestartsError):
         _seesaw_value(make_catalog(EBI).entries, np.eye(3), 0, 0)

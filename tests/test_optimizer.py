@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netbell import optimizer
+from netbell import fcbi
 from netbell.analysis import critical_visibility_uniform
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
@@ -24,7 +24,14 @@ from netbell.evaluator import (
     input_counts_for,
     optimal_strategy,
 )
-from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog
+from netbell.fcbi import (
+    CHAINED,
+    CHSH,
+    EBI,
+    _ascend,
+    best_of_restarts,
+    make_catalog,
+)
 from netbell.networks import (
     chain5_strategy_for_tree5,
     chain_topology,
@@ -36,11 +43,12 @@ from netbell.optimizer import (
     BOUNDARY,
     LocalModel,
     _CrossObjective,
+    _draw,
+    _ends,
     _local_columns,
     _max_abs_powersum,
     _run_restarts,
-    _seesaw,
-    _starts,
+    _sweep,
     classical_oracle,
     cross_evaluate,
     discriminate,
@@ -458,6 +466,23 @@ def test_quantum_bounds_on_generated_networks(n, k, extra, seed):
 # -- batched see-saw ----------------------------------------------------------
 
 
+def _starts(obj, seeds):
+    """The restarts' starting rows as the engine's vecs[i][side] batches."""
+    return _ends(_draw(obj, [np.random.default_rng(child) for child in seeds]))
+
+
+def _seesaw(obj, vecs, sweeps=120):
+    """The sweeps of `_run_restarts` on the batch vecs, in place."""
+    rows = [r for ends in vecs for r in ends]
+    return _ascend(
+        rows,
+        lambda r: obj.value(obj.factors(_ends(r))),
+        lambda r: _sweep(obj, r),
+        sweeps,
+        1e-11,
+    )
+
+
 def _search_case(name):
     if name == "bilocal_chain":
         ineq = chsh_inequality(chain_topology(3))
@@ -516,41 +541,43 @@ def test_restart_chunks_do_not_change_the_search(monkeypatch):
     states = {s: random_mixed(s + 3) for s in range(1, 4)}
     whole = seesaw_network(ineq, states, restarts=3, seed=5)
     assert min(np.diff(sorted(whole.history))) > 1e-9
-    monkeypatch.setattr(optimizer, "RESTART_CHUNK", 2)
+    monkeypatch.setattr(fcbi, "RESTART_CHUNK", 2)
     chunked = seesaw_network(ineq, states, restarts=3, seed=5)
     np.testing.assert_allclose(chunked.history, whole.history, rtol=0, atol=1e-12)
     assert chunked.best_value == pytest.approx(whole.best_value, abs=1e-12)
     assert chunked.converged == whole.converged
 
 
-def test_restart_seeds_are_spawned_chunk_by_chunk(monkeypatch):
-    """With the see-saw stubbed out, 2 * 10^4 restarts stay far below the
+def test_restart_seeds_are_spawned_chunk_by_chunk():
+    """With a stubbed draw and sweep, 2 * 10^4 restarts stay far below the
     7.5 MB that spawning every child SeedSequence (about 376 B each) before
-    the first chunk would take; each chunk still gets the next children."""
-    ineq = chsh_inequality(chain_topology(3))
-    obj = _CrossObjective(ineq, ineq.topology, {1: max_entangled(), 2: max_entangled()})
-    last_keys = []
+    the first chunk would take; each chunk still gets the next children:
+    its last restart draws from child (spawn key) lo + chunk - 1."""
+    last_draws = []
 
-    def starts(obj, seeds):
-        last_keys.append(seeds[-1].spawn_key)
-        return [[np.zeros((len(seeds), *rows.shape)) for rows in ends]
-                for ends in obj.vectors(lambda *slot: np.zeros(3))]
+    def draw(rngs):
+        last_draws.append(rngs[-1].random())
+        return [np.zeros(len(rngs))]
 
-    def seesaw(obj, vecs):
-        return np.zeros(len(vecs[0][0])), np.ones(len(vecs[0][0]), dtype=bool)
+    def sweep(rows):
+        return np.zeros(len(rows[0])), np.ones(len(rows[0]), dtype=bool)
 
-    monkeypatch.setattr(optimizer, "_starts", starts)
-    monkeypatch.setattr(optimizer, "_seesaw", seesaw)
     restarts = 2 * 10**4
     tracemalloc.start()
     try:
-        report = _run_restarts(obj, restarts, 0)
+        _, _, history, _ = best_of_restarts(
+            draw, lambda rows: np.zeros(len(rows[0])), sweep, restarts, 0, 120, 1e-11
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.restarts_used == restarts and len(report.history) == restarts
-    chunk = optimizer.RESTART_CHUNK
-    assert last_keys == [(min(lo + chunk, restarts) - 1,) for lo in range(0, restarts, chunk)]
+    assert len(history) == restarts
+    chunk = fcbi.RESTART_CHUNK
+    last_keys = [(min(lo + chunk, restarts) - 1,) for lo in range(0, restarts, chunk)]
+    assert last_draws == [
+        np.random.default_rng(np.random.SeedSequence(0, spawn_key=key)).random()
+        for key in last_keys
+    ]
     assert peak < 4 * 10**6, peak
 
 
