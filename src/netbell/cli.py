@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, optimizer
 from .builder import build_inequality, mixed_state_bound
 from .errors import ConfigError, NetbellError, NonConvergenceError, TooFewLeavesError
-from .evaluator import MeasurementStrategy, input_counts_for
+from .evaluator import MeasurementStrategy
 from .fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog
 from .networks import chsh_inequality
 from .optimizer import LocalModel

@@ -8,7 +8,8 @@ is read off the engine's one contraction, `columns`, evaluated with U
 replaced by the unit rows e_(x, c). An intermediate party's input x enters
 column x only, so its whole block has the closed-form update
 U[x] = H[x, x] / |H[x, x]|; a leaf's input enters every column, and each of
-its rows is polished by projected gradient on the sphere. Each H is first
+its rows is polished by safeguarded Newton steps on the sphere, which
+converge quadratically on this two-dimensional problem. Each H is first
 divided by its largest entry: the best block does not depend on that scale,
 and on networks with tens of leaves the raw entries fall below the updates'
 absolute floors (1e-14 on norms, 1e-12 on magnitudes). A source's operand is
@@ -92,21 +93,54 @@ def _max_abs_powersum(
 
     The candidates (start, then +-g_j/|g_j| in order; a g_j of norm at most
     1e-14 gives none) are scored as one array, and the first best of each
-    problem is polished by projected gradient with backtracking. The problems
-    polish in lockstep, each with its own step, accept count and stopping
-    test, so no result scores below its start.
+    problem is polished by safeguarded Newton steps on the sphere. At each
+    point the tangent gradient r and Hessian h (a 2x2 matrix in a tangent
+    basis e1, e2) give the Newton step -h^-1 r where h is negative definite,
+    else a step along r; the step is retracted onto the sphere and halved
+    until the value rises. The problems polish in lockstep, each with
+    its own step, accept count and stopping test, so no result scores below
+    its start.
     """
     p = 1.0 / l
     batch, k = cs.shape
     rows = np.arange(batch)
 
-    def terms(n):
-        v = cs + np.einsum("bjc,bc->bj", gs, n)
-        return v, np.abs(v)
+    def score(n):
+        return (np.abs(cs + np.einsum("bjc,bc->bj", gs, n)) ** p).sum(axis=-1)
 
-    def gradient(v, mags):
-        mags = np.maximum(mags, 1e-12)
-        return np.einsum("bj,bjc->bc", p * mags ** (p - 1.0) * np.sign(v), gs)
+    def newton(n):
+        """The tangent step d (B, 3) at n and its model gain 1/2 r . d."""
+        # e1 is the unit tangent along e_z, or along e_x near the poles;
+        # e2 = n x e1, written out by components.
+        polar = np.abs(n[:, 2]) >= 0.9
+        e1 = np.where(polar[:, None], -n[:, 0:1] * n, -n[:, 2:3] * n)
+        e1[rows, np.where(polar, 0, 2)] += 1.0
+        e1 /= np.sqrt(np.einsum("bc,bc->b", e1, e1))[:, None]
+        e2 = n[:, [1, 2, 0]] * e1[:, [2, 0, 1]] - n[:, [2, 0, 1]] * e1[:, [1, 2, 0]]
+        frame = np.stack([e1, e2, n], axis=1)
+        g = np.einsum("bjc,bac->bja", gs, frame)  # g_j . e1, g_j . e2, g_j . n
+        v = cs + g[..., 2]
+        mags = np.maximum(np.abs(v), 1e-12)
+        slope = p * mags ** (p - 1.0)
+        w1 = slope * np.sign(v)
+        r1, r2, lam = np.einsum("bj,bja->ab", w1, g)
+        t = g[..., :2]
+        (h11, h12), (_, h22) = np.einsum("bj,bja,bjc->acb", (p - 1.0) * slope / mags, t, t)
+        h11, h22 = h11 - lam, h22 - lam
+        det = h11 * h22 - h12 * h12
+        concave = (h11 < 0.0) & (det > 0.0)
+        safe = np.where(concave, det, 1.0)
+        # Elsewhere step along r: to the model's maximum on that line where h
+        # curves down along r, else half a radian.
+        rr = r1 * r1 + r2 * r2
+        curv = h11 * r1 * r1 + 2.0 * h12 * r1 * r2 + h22 * r2 * r2
+        down = curv < 0.0
+        along = np.where(
+            down, rr / np.where(down, -curv, 1.0), 0.5 / np.sqrt(np.where(rr > 0.0, rr, 1.0))
+        )
+        d1 = np.where(concave, (h12 * r2 - h22 * r1) / safe, along * r1)
+        d2 = np.where(concave, (h12 * r1 - h11 * r2) / safe, along * r2)
+        return d1[:, None] * e1 + d2[:, None] * e2, 0.5 * (r1 * d1 + r2 * d2)
 
     norms = np.sqrt(np.einsum("bjc,bjc->bj", gs, gs))
     usable = norms > 1e-14
@@ -122,24 +156,29 @@ def _max_abs_powersum(
     n, val = candidates[rows, pick], scores[rows, pick]
 
     # Every problem is stepped each round; one that has stopped keeps its n.
-    step = np.full(batch, 0.5)
+    # A problem stops when the model gain at a fresh point, or the gain of an
+    # accepted step, falls below 1e-13, when its step falls to 1e-12, or
+    # after 60 accepted steps.
+    d, model = newton(n)
+    step = np.ones(batch)
     accepts = np.zeros(batch, dtype=int)
-    grad = gradient(*terms(n))
-    active = np.ones(batch, dtype=bool)
+    active = model >= 1e-13
     while active.any():
-        x = n + step[:, None] * grad
-        norms = np.sqrt(np.einsum("bc,bc->b", x, x))
-        cand = x / np.where(norms > 1e-14, norms, 1.0)[:, None]
-        v, mags = terms(cand)
-        cand_val = (mags**p).sum(axis=-1)
+        x = n + step[:, None] * d
+        cand = x / np.sqrt(np.einsum("bc,bc->b", x, x))[:, None]
+        cand_val = score(cand)
         up = active & (cand_val > val)
         gain = cand_val - val
         n = np.where(up[:, None], cand, n)
         val = np.where(up, cand_val, val)
         accepts += up
-        step = np.where(up, np.minimum(step * 1.5, 2.0), step * 0.5)
-        active &= np.where(up, (gain >= 1e-13) & (accepts < 60), step > 1e-12)
-        grad = np.where(up[:, None], gradient(v, mags), grad)
+        if up.any():
+            fresh_d, model = newton(n)
+            d = np.where(up[:, None], fresh_d, d)
+        step = np.where(up, 1.0, step * 0.5)
+        active &= np.where(
+            up, (gain >= 1e-13) & (accepts < 60) & (model >= 1e-13), step > 1e-12
+        )
     return n
 
 

@@ -1,8 +1,5 @@
-import numpy as np
 import pytest
 
-from netbell.builder import build_inequality
-from netbell.fcbi import CHSH, make_catalog
 from netbell.networks import (
     chain_topology,
     chsh_inequality,

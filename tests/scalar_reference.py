@@ -62,16 +62,35 @@ def local_model_S(ineq, model):
 
 def max_abs_powersum(cs, gs, l, start):
     """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere for one
-    problem: the start and +-g_j/|g_j| as candidates, then projected-gradient
-    polish with backtracking, one candidate at a time."""
+    problem: the start and +-g_j/|g_j| as candidates, then Newton steps on
+    the sphere (a step along the gradient where the tangent Hessian is not
+    negative definite) with backtracking, one step at a time."""
     p = 1.0 / l
 
     def h(n):
         return float(np.sum(np.abs(cs + gs @ n) ** p))
 
-    def unit(v):
-        norm = np.sqrt(v @ v)
-        return v / norm if norm > 1e-14 else v
+    def newton(n):
+        # Tangent basis: e_z (e_x near the poles) projected off n, and n x e1.
+        a = np.array([1.0, 0.0, 0.0]) if abs(n[2]) >= 0.9 else np.array([0.0, 0.0, 1.0])
+        e1 = a - (a @ n) * n
+        e1 /= np.linalg.norm(e1)
+        basis = np.array([e1, np.cross(n, e1)])
+        v = cs + gs @ n
+        mags = np.maximum(np.abs(v), 1e-12)
+        w1 = p * mags ** (p - 1.0) * np.sign(v)
+        w2 = p * (p - 1.0) * mags ** (p - 2.0)
+        t = gs @ basis.T  # (k, 2): g_j . e_a
+        r = w1 @ t
+        hess = (t.T * w2) @ t - (w1 @ (gs @ n)) * np.eye(2)
+        if hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
+            d = -np.linalg.solve(hess, r)
+        elif r @ hess @ r < 0.0:
+            # The maximum of the quadratic model on the line along r.
+            d = (r @ r) / -(r @ hess @ r) * r
+        else:
+            d = 0.5 * r / np.linalg.norm(r) if r.any() else r
+        return d @ basis, 0.5 * (r @ d)
 
     candidates = [start]
     for g in gs:
@@ -79,22 +98,23 @@ def max_abs_powersum(cs, gs, l, start):
         if norm > 1e-14:
             candidates += [g / norm, -g / norm]
     n = max(candidates, key=h)
-    val, step = h(n), 0.5
-    for _ in range(60):
-        v = cs + gs @ n
-        mags = np.maximum(np.abs(v), 1e-12)
-        grad = (p * mags ** (p - 1.0) * np.sign(v)) @ gs
-        gain = None
+    val = h(n)
+    d, model = newton(n)
+    accepts = 0
+    while model >= 1e-13 and accepts < 60:
+        step, gain = 1.0, None
         while step > 1e-12:
-            cand = unit(n + step * grad)
+            cand = n + step * d
+            cand /= np.linalg.norm(cand)
             if h(cand) > val:
                 gain = h(cand) - val
                 n, val = cand, h(cand)
-                step = min(step * 1.5, 2.0)
                 break
             step *= 0.5
         if gain is None or gain < 1e-13:
             break
+        accepts += 1
+        d, model = newton(n)
     return n
 
 

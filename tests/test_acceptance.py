@@ -5,7 +5,6 @@ file doubles as the release report. Target runtime for the whole file is
 well under five minutes.
 """
 
-import json
 import subprocess
 import sys
 import time

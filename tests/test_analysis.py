@@ -13,7 +13,7 @@ from netbell.analysis import (
 )
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import NegativeEntryError, TooFewLeavesError, UnsupportedFcbiError
-from netbell.evaluator import SIGMA_X, SIGMA_Z, MeasurementStrategy
+from netbell.evaluator import SIGMA_Z, MeasurementStrategy
 from netbell.fcbi import CHAINED, EBI, custom_matrix, make_catalog
 from netbell.networks import chain_topology, chsh_inequality
 from netbell.qstate import WernerSpec, classical_zz, max_entangled, werner

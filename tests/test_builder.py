@@ -10,7 +10,7 @@ from netbell.errors import (
     TooFewLeavesError,
 )
 from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog, state_max
-from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
+from netbell.qstate import WernerSpec, random_mixed, werner
 from netbell.topology import build_topology
 
 

@@ -288,4 +288,4 @@ def test_seesaw_many_leaf_star():
     for leaves in (30, 51, 52):
         states = {s: max_entangled() for s in range(1, leaves + 1)}
         rep = seesaw_network(_star(leaves), states, restarts=1, seed=0)
-        assert np.sqrt(2.0) - 1e-6 <= rep.best_value <= np.sqrt(2.0) + 1e-9, leaves
+        assert np.sqrt(2.0) - 1e-11 <= rep.best_value <= np.sqrt(2.0) + 1e-9, leaves

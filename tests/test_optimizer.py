@@ -40,7 +40,6 @@ from netbell.networks import (
     tree5_topology,
 )
 from netbell.optimizer import (
-    BOUNDARY,
     LocalModel,
     _CrossObjective,
     _draw,
@@ -605,8 +604,14 @@ def _powersum_batch(draw):
 @settings(max_examples=60, deadline=None)
 def test_max_abs_powersum_batch(problem):
     """Each result is a unit vector (the start itself for a zero H) scoring at
-    least as high as its start and every +-g_j/|g_j| candidate, and matches
-    the one-problem reference loop."""
+    least as high as its start and every +-g_j/|g_j| candidate, is a local
+    maximum, and matches the one-problem reference loop.
+
+    Local maximum: no tangent step of 1e-3 in 8 directions scores more than
+    1e-12 higher. A step that flips the sign of some c_j + g_j . n crosses a
+    kink of |.|, beyond which the function may rise again (at l = 1 each
+    sign region is a linear piece with its own maximum), so it is not
+    probed."""
     cs, gs, l, start = problem
     found = _max_abs_powersum(cs, gs, l, start)
 
@@ -617,13 +622,23 @@ def test_max_abs_powersum_batch(problem):
         if not gs[b].any():
             np.testing.assert_array_equal(found[b], start[b])
             continue
-        assert np.linalg.norm(found[b]) == pytest.approx(1.0, abs=1e-12)
-        best = score(b, found[b])
+        n = found[b]
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
+        best = score(b, n)
         assert best >= score(b, start[b]) - 1e-12
         for g in gs[b]:
             if np.linalg.norm(g) > 1e-14:
                 unit = g / np.linalg.norm(g)
                 assert best >= max(score(b, unit), score(b, -unit)) - 1e-12
+        e1 = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1)
+        signs = np.sign(cs[b] + gs[b] @ n)
+        for angle in np.arange(8) * np.pi / 4:
+            probe = n + 1e-3 * (np.cos(angle) * e1 + np.sin(angle) * e2)
+            probe /= np.linalg.norm(probe)
+            if (np.sign(cs[b] + gs[b] @ probe) == signs).all():
+                assert score(b, probe) <= best + 1e-12, angle
         reference = max_abs_powersum(cs[b], gs[b], l, start[b])
         assert best == pytest.approx(score(b, reference), abs=1e-9)
 
