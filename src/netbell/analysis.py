@@ -30,9 +30,9 @@ from .qstate import MAX_SCHMIDT, TwoQubitState, pure_schmidt
 from .topology import NetworkTopology
 
 
-def format_sig(x: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits for stable reports."""
-    return float(f"{x:.{digits}g}")
+def format_sig(x: float) -> float:
+    """Round to 12 significant digits for stable reports."""
+    return float(f"{x:.12g}")
 
 
 @dataclass
@@ -140,7 +140,7 @@ def visibility_window(
     return results
 
 
-def mahler_check(X, tol: float = 1e-12, rank_tol: float = 1e-9) -> dict:
+def mahler_check(X) -> dict:
     """Check the product-form inequality for a non-negative matrix.
 
     lhs = sum_j (prod_i x_ji)^(1/q) and rhs = prod_i (sum_j x_ji)^(1/q)
@@ -160,11 +160,11 @@ def mahler_check(X, tol: float = 1e-12, rank_tol: float = 1e-9) -> dict:
     rhs = float(np.prod(np.sum(X, axis=0) ** (1.0 / q)))
     svals = np.linalg.svd(X, compute_uv=False)
     rank1 = bool(
-        svals[0] > 0 and (len(svals) < 2 or svals[1] <= rank_tol * svals[0])
+        svals[0] > 0 and (len(svals) < 2 or svals[1] <= 1e-9 * svals[0])
     )
     zero_column = bool(np.any(np.all(X == 0.0, axis=0)))
     return {
-        "holds": lhs <= rhs + tol,
+        "holds": lhs <= rhs + 1e-12,
         "lhs": lhs,
         "rhs": rhs,
         "equality": rank1 or zero_column,

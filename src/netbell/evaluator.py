@@ -485,8 +485,6 @@ def check_conditions(
     ineq: NetworkInequality,
     states: dict[int, TwoQubitState],
     strategy: MeasurementStrategy,
-    rank_tol: float = 1e-8,
-    residual_tol: float = 1e-9,
 ) -> ConditionReport:
     """Verify the two saturation conditions for a strategy.
 
@@ -506,8 +504,8 @@ def check_conditions(
         # so its norm on any state is |d_j|.
         X[:, col] = np.linalg.norm(m.delta_vectors(rows), axis=1)
     svals = np.linalg.svd(X, compute_uv=False)
-    rank1 = bool(svals[0] > 0 and (len(svals) < 2 or svals[1] <= rank_tol * svals[0]))
-    zero_column = bool(np.any(np.all(X <= residual_tol, axis=0)))
+    rank1 = bool(svals[0] > 0 and (len(svals) < 2 or svals[1] <= 1e-8 * svals[0]))
+    zero_column = bool(np.any(np.all(X <= 1e-9, axis=0)))
 
     residuals = {}
     ok = True
@@ -521,7 +519,7 @@ def check_conditions(
             )
             res[j - 1] = abs(val - t0)
         residuals[u] = res
-        ok = ok and bool(np.all(res <= residual_tol))
+        ok = ok and bool(np.all(res <= 1e-9))
 
     return ConditionReport(
         X=X,

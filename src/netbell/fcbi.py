@@ -20,8 +20,8 @@ from .errors import BadKError, BadRestartsError, NonConvergenceError, TooLargeEr
 from .qstate import TwoQubitState
 
 ENUMERATION_CAP_BITS = 24
-# classical_bound tabulates the signs of at most this many rows at once and
-# loops over the rest, so its memory stays O(2^16 * cols) up to the cap.
+# classical_bound and the exhaustive LHV oracle tabulate the signs of at most
+# 2^16 codes at once, whatever the number of rows up to their caps.
 SIGN_BLOCK_BITS = 16
 
 CHSH = "CHSH"
@@ -299,14 +299,13 @@ def state_max(
     rho: TwoQubitState,
     restarts: int = 32,
     seed: int = 0,
-    force_numeric: bool = False,
 ) -> float:
     """Maximal quantum value of the FCBI on a given two-qubit state.
 
-    CHSH has the closed form sqrt(t0^2 + t1^2); everything else (or
-    force_numeric) runs the see-saw on sum_y ||T^T d_y||.
+    CHSH has the closed form sqrt(t0^2 + t1^2); everything else runs the
+    see-saw on sum_y ||T^T d_y||.
     """
-    if matrix.tag == CHSH and not force_numeric:
+    if matrix.tag == CHSH:
         t0, t1 = rho.singvals[0], rho.singvals[1]
         return float(np.sqrt(t0 * t0 + t1 * t1))
     val, _ = _seesaw_value(matrix.entries, rho.corr, restarts, seed)

@@ -46,7 +46,7 @@ from .evaluator import (
     _normalize,
     input_counts_for,
 )
-from .fcbi import CHSH, _normalize_rows, best_of_restarts, sign_table
+from .fcbi import CHSH, SIGN_BLOCK_BITS, _normalize_rows, best_of_restarts, sign_table
 from .qstate import TwoQubitState
 from .topology import NetworkTopology
 
@@ -91,18 +91,16 @@ def _max_abs_powersum(
     """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere, for each of
     B problems at once: cs (B, k), gs (B, k, 3), start (B, 3).
 
-    The candidates (start, then +-g_j/|g_j| in order; a g_j of norm at most
-    1e-14 gives none) are scored as one array, and the first best of each
-    problem is polished by safeguarded Newton steps on the sphere. At each
-    point the tangent gradient r and Hessian h (a 2x2 matrix in a tangent
-    basis e1, e2) give the Newton step -h^-1 r where h is negative definite,
-    else a step along r; the step is retracted onto the sphere and halved
-    until the value rises. The problems polish in lockstep, each with
-    its own step, accept count and stopping test, so no result scores below
-    its start.
+    Each problem is polished from its start by safeguarded Newton steps on
+    the sphere. At each point the tangent gradient r and Hessian h (a 2x2
+    matrix in a tangent basis e1, e2) give the Newton step -h^-1 r where h
+    is negative definite, else a step along r; the step is retracted onto
+    the sphere and halved until the value rises. The problems polish in
+    lockstep, each with its own step, accept count and stopping test, so no
+    result scores below its start.
     """
     p = 1.0 / l
-    batch, k = cs.shape
+    batch = len(cs)
     rows = np.arange(batch)
 
     def score(n):
@@ -142,18 +140,7 @@ def _max_abs_powersum(
         d2 = np.where(concave, (h12 * r1 - h11 * r2) / safe, along * r2)
         return d1[:, None] * e1 + d2[:, None] * e2, 0.5 * (r1 * d1 + r2 * d2)
 
-    norms = np.sqrt(np.einsum("bjc,bjc->bj", gs, gs))
-    usable = norms > 1e-14
-    unit = gs / np.where(usable, norms, 1.0)[..., None]
-    candidates = np.concatenate(
-        [start[:, None], np.stack([unit, -unit], axis=2).reshape(batch, 2 * k, 3)], axis=1
-    )
-    scores = (
-        np.abs(cs[:, None] + np.einsum("bjc,bmc->bmj", gs, candidates)) ** p
-    ).sum(axis=-1)
-    scores[:, 1:][~np.repeat(usable, 2, axis=1)] = -np.inf
-    pick = np.argmax(scores, axis=1)
-    n, val = candidates[rows, pick], scores[rows, pick]
+    n, val = start, score(start)
 
     # Every problem is stepped each round; one that has stopped keeps its n.
     # A problem stops when the model gain at a fresh point, or the gain of an
@@ -334,17 +321,30 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
         raise TooLargeForExhaustiveError(
             f"2^{leaf_bits} deterministic leaf assignments exceed the cap"
         )
-    # One row per deterministic leaf assignment; each leaf contributes its
-    # Delta row.
-    prod = np.ones((1, ineq.k))
-    for p in leaves:
-        signs = sign_table(counts[p], np.arange(2 ** counts[p]))
-        table = signs @ ineq.leaf_fcbi(p).entries  # (2^r, k)
-        prod = (prod[:, None, :] * table[None, :, :]).reshape(-1, ineq.k)
-    s_all = (np.abs(prod) ** (1.0 / ineq.l)).sum(axis=1)
-    best_idx = int(np.argmax(s_all))
+    # Each leaf's Delta row for each of its codes; a leaf assignment's
+    # columns are their product. Codes run in blocks of 2^SIGN_BLOCK_BITS,
+    # the last leaf's fastest, and the first maximum in that order is kept.
+    def blocks(n):
+        step = 2**SIGN_BLOCK_BITS
+        return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
 
-    codes = np.unravel_index(best_idx, [2 ** counts[p] for p in leaves])
+    tables = [
+        np.concatenate([sign_table(counts[p], c) @ ineq.leaf_fcbi(p).entries
+                        for c in blocks(2 ** counts[p])])
+        for p in leaves
+    ]
+    shape = [len(t) for t in tables]
+    best_value, best_idx = -np.inf, 0
+    for c in blocks(2**leaf_bits):
+        prod = np.ones((len(c), ineq.k))
+        for table, code in zip(tables, np.unravel_index(c, shape)):
+            prod *= table[code]
+        s_block = (np.abs(prod) ** (1.0 / ineq.l)).sum(axis=1)
+        i = int(np.argmax(s_block))
+        if s_block[i] > best_value:
+            best_value, best_idx = float(s_block[i]), int(c[i])
+
+    codes = np.unravel_index(best_idx, shape)
     leaf_code = dict(zip(leaves, codes))
     responses = {}
     for p in sorted(counts):
@@ -359,9 +359,9 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
         responses=responses,
     )
     return SearchReport(
-        best_value=float(s_all[best_idx]),
+        best_value=best_value,
         best_config=model,
-        restarts_used=len(s_all),
+        restarts_used=2**leaf_bits,
         seed=0,
         converged=True,
     )

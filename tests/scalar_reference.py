@@ -62,9 +62,9 @@ def local_model_S(ineq, model):
 
 def max_abs_powersum(cs, gs, l, start):
     """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere for one
-    problem: the start and +-g_j/|g_j| as candidates, then Newton steps on
-    the sphere (a step along the gradient where the tangent Hessian is not
-    negative definite) with backtracking, one step at a time."""
+    problem: Newton steps on the sphere from the start (a step along the
+    gradient where the tangent Hessian is not negative definite) with
+    backtracking, one step at a time."""
     p = 1.0 / l
 
     def h(n):
@@ -92,13 +92,7 @@ def max_abs_powersum(cs, gs, l, start):
             d = 0.5 * r / np.linalg.norm(r) if r.any() else r
         return d @ basis, 0.5 * (r @ d)
 
-    candidates = [start]
-    for g in gs:
-        norm = np.sqrt(g @ g)
-        if norm > 1e-14:
-            candidates += [g / norm, -g / norm]
-    n = max(candidates, key=h)
-    val = h(n)
+    n, val = start, h(start)
     d, model = newton(n)
     accepts = 0
     while model >= 1e-13 and accepts < 60:

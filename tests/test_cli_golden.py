@@ -50,13 +50,9 @@ def run(config: Path, command: str) -> dict:
     return {"exit": code, "stdout": stdout, "stderr": _parse(err.getvalue())}
 
 
-def _golden(config: Path) -> Path:
-    return GOLDEN / config.name
-
-
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
 def test_cli_golden(config):
-    expected = json.loads(_golden(config).read_text())
+    expected = json.loads((GOLDEN / config.name).read_text())
     assert sorted(expected) == sorted(RUNS)
     for command in RUNS:
         # Dumped text, so 1 and 1.0 differ as they do on stdout.
@@ -68,5 +64,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for config in CONFIGS:
         runs = {command: run(config, command) for command in RUNS}
-        _golden(config).write_text(json.dumps(runs, indent=1) + "\n")
-        print(f"wrote {_golden(config).relative_to(ROOT)}", file=sys.stderr)
+        (GOLDEN / config.name).write_text(json.dumps(runs, indent=1) + "\n")
+        print(f"wrote tests/golden/{config.name}", file=sys.stderr)

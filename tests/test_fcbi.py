@@ -125,7 +125,7 @@ def test_chsh_state_max_closed_form(seed):
     rho = random_mixed(seed)
     closed = np.sqrt(rho.singvals[0] ** 2 + rho.singvals[1] ** 2)
     assert state_max(m, rho) == pytest.approx(closed)
-    numeric = state_max(m, rho, restarts=16, seed=seed, force_numeric=True)
+    numeric = state_max(custom_matrix(m.entries), rho, restarts=16, seed=seed)
     assert numeric == pytest.approx(closed, abs=1e-6)
 
 

@@ -30,6 +30,7 @@ from netbell.fcbi import (
     EBI,
     _ascend,
     best_of_restarts,
+    custom_matrix,
     make_catalog,
 )
 from netbell.networks import (
@@ -111,6 +112,43 @@ def test_oracle_exhaustive_cap():
     )
     with pytest.raises(TooLargeForExhaustiveError):
         classical_oracle(ineq, mode="exhaustive")
+
+
+def _chained_11_pair():
+    return build_inequality(
+        chain_topology(3), 11, {s: make_catalog(CHAINED, 11) for s in (1, 2)}
+    )
+
+
+def _custom_20_row_leaf():
+    entries = np.random.default_rng(0).choice([-0.5, 0.5], size=(20, 2))
+    return build_inequality(
+        chain_topology(3), 2, {1: custom_matrix(entries, restarts=2), 2: make_catalog(CHSH)}
+    )
+
+
+# A CHSH leaf's Delta row has one nonzero column, so next to it the best is
+# the root of the custom leaf's largest column sum, 10.
+@pytest.mark.parametrize(
+    "make, best", [(_chained_11_pair, 10.0), (_custom_20_row_leaf, np.sqrt(10.0))]
+)
+def test_oracle_exhaustive_memory(make, best):
+    """2^22 leaf assignments run in blocks: the whole (2^22, k) product table
+    of two chained-11 leaves would take 369 MB, and the (2^20, 20) sign
+    table of one 20-row leaf 168 MB."""
+    ineq = make()
+    tracemalloc.start()
+    try:
+        rep = classical_oracle(ineq, mode="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.restarts_used == 2**22
+    assert rep.best_value == pytest.approx(best, abs=1e-12)
+    assert evaluate_local_model(ineq, rep.best_config) == pytest.approx(
+        rep.best_value, abs=1e-12
+    )
+    assert peak < 64 * 2**20, peak
 
 
 def test_oracle_random_alphabet_cap(bilocal):
@@ -400,8 +438,8 @@ def test_local_models_on_generated_networks(n, k, extra, seed):
     rng = np.random.default_rng(seed)
     ineq = _generated_inequality(n, k, extra, rng)
     topo, fcbi = ineq.topology, ineq.fcbi_map[min(ineq.fcbi_map)]
-    # The oracle's cap is 24 leaf bits, but 2^24 rows of k columns take
-    # 0.5 GB; 16 bits keep each example small.
+    # The oracle's cap is 24 leaf bits, but 2^24 assignments take seconds;
+    # 16 bits keep each example quick.
     assume(ineq.l * fcbi.rows <= 16)
 
     rep = classical_oracle(ineq, mode="exhaustive")
@@ -604,8 +642,8 @@ def _powersum_batch(draw):
 @settings(max_examples=60, deadline=None)
 def test_max_abs_powersum_batch(problem):
     """Each result is a unit vector (the start itself for a zero H) scoring at
-    least as high as its start and every +-g_j/|g_j| candidate, is a local
-    maximum, and matches the one-problem reference loop.
+    least as high as its start, is a local maximum, and matches the
+    one-problem reference loop.
 
     Local maximum: no tangent step of 1e-3 in 8 directions scores more than
     1e-12 higher. A step that flips the sign of some c_j + g_j . n crosses a
@@ -626,10 +664,6 @@ def test_max_abs_powersum_batch(problem):
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
         best = score(b, n)
         assert best >= score(b, start[b]) - 1e-12
-        for g in gs[b]:
-            if np.linalg.norm(g) > 1e-14:
-                unit = g / np.linalg.norm(g)
-                assert best >= max(score(b, unit), score(b, -unit)) - 1e-12
         e1 = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(n, e1)
