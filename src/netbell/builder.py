@@ -3,8 +3,9 @@
 The inequality reads S = sum_j |I_j|^(1/l) <= bound, where each column j
 combines the Delta-weighted observables of every leaf with all intermediate
 parties fixed at input j. The classical bound is the geometric mean of the
-peripheral FCBI classical bounds; the quantum bound uses their quantum
-optima instead.
+peripheral FCBI classical bounds, a Holder upper bound that is attained when
+every leaf carries the same map and may be loose for mixed maps; the quantum
+bound uses their quantum optima instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from .topology import LeafAnalysis, NetworkTopology, find_leaves
 
 @dataclass(frozen=True)
 class NetworkInequality:
-    """Built inequality: topology, leaf analysis, k, per-source FCBIs, bounds."""
+    """Built inequality: topology, leaf analysis, k, per-source FCBIs, bounds.
+
+    classical_bound is the geometric mean of the leaves' FCBI classical
+    bounds: a Holder upper bound on S over local models, attained when every
+    leaf carries the same map and possibly loose for mixed maps.
+    """
 
     topology: NetworkTopology
     leaves: LeafAnalysis
@@ -79,6 +85,11 @@ def build_inequality(
     topology: NetworkTopology, k: int, fcbi_map: dict[int, CoefficientMatrix]
 ) -> NetworkInequality:
     """Validate and build the network inequality.
+
+    The classical bound is the geometric mean of the leaves' FCBI classical
+    bounds, an upper bound by Holder's inequality. It is attained when every
+    leaf carries the same map; with mixed maps the local maximum (see
+    `optimizer.classical_oracle`) may lie below it.
 
     Raises:
         TooFewLeavesError: fewer than two leaf nodes.

@@ -18,7 +18,6 @@ operators only, none of the Bloch data the engine contracts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     TooLargeForExhaustiveError,
     UnsupportedFcbiError,
 )
-from .fcbi import CHAINED, CHSH, EBI
+from .fcbi import CHAINED, CHSH, EBI, _normalize_rows
 from .qstate import TwoQubitState, bloch_matrix
 from .topology import NetworkTopology
 
@@ -143,11 +142,6 @@ def input_counts_for(ineq: NetworkInequality) -> dict[int, int]:
     for leaf, source in ineq.leaves.peripheral_map.items():
         counts[leaf] = ineq.fcbi_map[source].rows
     return counts
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    n = math.sqrt(v @ v)
-    return v / n if n > 1e-14 else v
 
 
 # einsum index of each target leaf with several host sources; "j" is the
@@ -263,8 +257,7 @@ class _CrossObjective:
         strategy = MeasurementStrategy()
         for i, ends in enumerate(self.ends):
             for p, rows in zip(ends, vecs[i]):
-                for inp, vec in enumerate(rows, start=1):
-                    vec = _normalize(vec)
+                for inp, vec in enumerate(_normalize_rows(rows), start=1):
                     strategy.slots[(p, inp, i + 1)] = (
                         QubitObservable(vec) if vec @ vec > 0.5 else SIGMA_Z
                     )

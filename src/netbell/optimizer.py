@@ -8,7 +8,8 @@ is read off the engine's one contraction, `columns`, evaluated with U
 replaced by the unit rows e_(x, c). An intermediate party's input x enters
 column x only, so its whole block has the closed-form update
 U[x] = H[x, x] / |H[x, x]|; a leaf's input enters every column, and each of
-its rows is polished by safeguarded Newton steps on the sphere, which
+its rows is polished by safeguarded modified Newton steps on the sphere,
+written in ambient coordinates so that no tangent basis is built; they
 converge quadratically on this two-dimensional problem. Each H is first
 divided by its largest entry: the best block does not depend on that scale,
 and on networks with tens of leaves the raw entries fall below the updates'
@@ -43,7 +44,6 @@ from .errors import (
 from .evaluator import (
     MeasurementStrategy,
     _CrossObjective,
-    _normalize,
     input_counts_for,
 )
 from .fcbi import CHSH, SIGN_BLOCK_BITS, _normalize_rows, best_of_restarts, sign_table
@@ -91,54 +91,42 @@ def _max_abs_powersum(
     """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere, for each of
     B problems at once: cs (B, k), gs (B, k, 3), start (B, 3).
 
-    Each problem is polished from its start by safeguarded Newton steps on
-    the sphere. At each point the tangent gradient r and Hessian h (a 2x2
-    matrix in a tangent basis e1, e2) give the Newton step -h^-1 r where h
-    is negative definite, else a step along r; the step is retracted onto
-    the sphere and halved until the value rises. The problems polish in
-    lockstep, each with its own step, accept count and stopping test, so no
-    result scores below its start.
+    Each problem is polished from its start by safeguarded modified Newton
+    steps on the sphere (Nocedal & Wright, Numerical Optimization, 3.4). At
+    each point n the tangent gradient r and the Riemannian Hessian, a 3x3
+    matrix in ambient coordinates, give the step d = |Hess|^-1 r: each
+    eigenvalue is replaced by its magnitude, floored at 1e-8 times the
+    largest. The normal n is given eigenvalue -1 and r is tangent, so d is
+    tangent; it is the Newton step where the Hessian is negative definite on
+    the tangent plane, and an ascent direction everywhere. The step is
+    retracted onto the sphere and halved until the value rises. The problems
+    polish in lockstep, each with its own step, accept count and stopping
+    test, so no result scores below its start.
     """
     p = 1.0 / l
     batch = len(cs)
-    rows = np.arange(batch)
 
     def score(n):
         return (np.abs(cs + np.einsum("bjc,bc->bj", gs, n)) ** p).sum(axis=-1)
 
     def newton(n):
         """The tangent step d (B, 3) at n and its model gain 1/2 r . d."""
-        # e1 is the unit tangent along e_z, or along e_x near the poles;
-        # e2 = n x e1, written out by components.
-        polar = np.abs(n[:, 2]) >= 0.9
-        e1 = np.where(polar[:, None], -n[:, 0:1] * n, -n[:, 2:3] * n)
-        e1[rows, np.where(polar, 0, 2)] += 1.0
-        e1 /= np.sqrt(np.einsum("bc,bc->b", e1, e1))[:, None]
-        e2 = n[:, [1, 2, 0]] * e1[:, [2, 0, 1]] - n[:, [2, 0, 1]] * e1[:, [1, 2, 0]]
-        frame = np.stack([e1, e2, n], axis=1)
-        g = np.einsum("bjc,bac->bja", gs, frame)  # g_j . e1, g_j . e2, g_j . n
-        v = cs + g[..., 2]
+        v = cs + np.einsum("bjc,bc->bj", gs, n)
         mags = np.maximum(np.abs(v), 1e-12)
         slope = p * mags ** (p - 1.0)
-        w1 = slope * np.sign(v)
-        r1, r2, lam = np.einsum("bj,bja->ab", w1, g)
-        t = g[..., :2]
-        (h11, h12), (_, h22) = np.einsum("bj,bja,bjc->acb", (p - 1.0) * slope / mags, t, t)
-        h11, h22 = h11 - lam, h22 - lam
-        det = h11 * h22 - h12 * h12
-        concave = (h11 < 0.0) & (det > 0.0)
-        safe = np.where(concave, det, 1.0)
-        # Elsewhere step along r: to the model's maximum on that line where h
-        # curves down along r, else half a radian.
-        rr = r1 * r1 + r2 * r2
-        curv = h11 * r1 * r1 + 2.0 * h12 * r1 * r2 + h22 * r2 * r2
-        down = curv < 0.0
-        along = np.where(
-            down, rr / np.where(down, -curv, 1.0), 0.5 / np.sqrt(np.where(rr > 0.0, rr, 1.0))
-        )
-        d1 = np.where(concave, (h12 * r2 - h22 * r1) / safe, along * r1)
-        d2 = np.where(concave, (h12 * r1 - h11 * r2) / safe, along * r2)
-        return d1[:, None] * e1 + d2[:, None] * e2, 0.5 * (r1 * d1 + r2 * d2)
+        g = np.einsum("bj,bjc->bc", slope * np.sign(v), gs)
+        lam = np.einsum("bc,bc->b", n, g)
+        r = g - lam[:, None] * n
+        # The Riemannian Hessian P H P - lam P in ambient coordinates, with
+        # -n n^T added so that n is an eigenvector of eigenvalue -1.
+        nn = n[:, :, None] * n[:, None, :]
+        proj = np.eye(3) - nn
+        h = np.einsum("bj,bja,bjc->bac", (p - 1.0) * slope / mags, gs, gs)
+        w, eig = np.linalg.eigh(proj @ h @ proj - lam[:, None, None] * proj - nn)
+        w = np.abs(w)
+        w = np.maximum(w, 1e-8 * w.max(axis=1, keepdims=True))
+        d = np.einsum("bac,bc->ba", eig, np.einsum("bac,ba->bc", eig, r) / w)
+        return d, 0.5 * np.einsum("bc,bc->b", r, d)
 
     n, val = start, score(start)
 
@@ -172,7 +160,7 @@ def _max_abs_powersum(
 def _draw(obj: _CrossObjective, rngs) -> list[np.ndarray]:
     """Starting rows [U_1a, U_1b, U_2a, ...] batched over the restarts;
     restart r draws its rows from rngs[r] in endpoint order."""
-    starts = [obj.vectors(lambda *slot: _normalize(rng.normal(size=3))) for rng in rngs]
+    starts = [obj.vectors(lambda *slot: _normalize_rows(rng.normal(size=3))) for rng in rngs]
     return [np.stack(rows) for rows in zip(*(sum(vecs, []) for vecs in starts))]
 
 

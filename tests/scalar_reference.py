@@ -62,9 +62,9 @@ def local_model_S(ineq, model):
 
 def max_abs_powersum(cs, gs, l, start):
     """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere for one
-    problem: Newton steps on the sphere from the start (a step along the
-    gradient where the tangent Hessian is not negative definite) with
-    backtracking, one step at a time."""
+    problem: modified Newton steps on the sphere from the start (the tangent
+    Hessian's eigenvalues replaced by their magnitudes, floored at 1e-8 times
+    max(1, the largest)) with backtracking, one step at a time."""
     p = 1.0 / l
 
     def h(n):
@@ -83,13 +83,9 @@ def max_abs_powersum(cs, gs, l, start):
         t = gs @ basis.T  # (k, 2): g_j . e_a
         r = w1 @ t
         hess = (t.T * w2) @ t - (w1 @ (gs @ n)) * np.eye(2)
-        if hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0:
-            d = -np.linalg.solve(hess, r)
-        elif r @ hess @ r < 0.0:
-            # The maximum of the quadratic model on the line along r.
-            d = (r @ r) / -(r @ hess @ r) * r
-        else:
-            d = 0.5 * r / np.linalg.norm(r) if r.any() else r
+        lams, vecs = np.linalg.eigh(hess)
+        mods = np.maximum(np.abs(lams), 1e-8 * max(1.0, np.abs(lams).max()))
+        d = vecs @ ((vecs.T @ r) / mods)
         return d @ basis, 0.5 * (r @ d)
 
     n, val = start, h(start)

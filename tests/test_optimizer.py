@@ -145,6 +145,9 @@ def test_oracle_exhaustive_memory(make, best):
         tracemalloc.stop()
     assert rep.restarts_used == 2**22
     assert rep.best_value == pytest.approx(best, abs=1e-12)
+    # The geometric-mean bound holds, and is loose next to the custom leaf:
+    # sqrt(10) against sqrt(11).
+    assert rep.best_value <= ineq.classical_bound + 1e-12
     assert evaluate_local_model(ineq, rep.best_config) == pytest.approx(
         rep.best_value, abs=1e-12
     )
@@ -622,7 +625,8 @@ def test_restart_seeds_are_spawned_chunk_by_chunk():
 def _powersum_batch(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31))
     k = draw(st.integers(min_value=1, max_value=5))
-    l = draw(st.integers(min_value=1, max_value=4))
+    # Leaf counts up to those of the many-leaf stars, where every slope is tiny.
+    l = draw(st.sampled_from([1, 2, 3, 4, 30, 52]))
     batch = draw(st.integers(min_value=1, max_value=6))
     rng = np.random.default_rng(seed)
     cs = rng.normal(size=(batch, k))
