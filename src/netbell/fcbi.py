@@ -7,11 +7,13 @@ quantum values on arbitrary two-qubit states, and the column-norm witness
 that certifies quantum upper bounds.
 
 `best_of_restarts` runs the restarts of this see-saw and of the network
-one in `optimizer`; a see-saw supplies only its draw, value and sweep.
+one in `optimizer`; a see-saw supplies its draw, value, sweep and finish,
+here `_sphere_ascent`, the Newton ascent that also polishes leaf rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,13 +200,80 @@ def _normalize_rows(a: np.ndarray, fallback: np.ndarray | None = None) -> np.nda
 RESTART_CHUNK = 256
 
 
-def _ascend(rows, value, sweep, sweeps: int, tol: float):
+@functools.cache
+def _blocks(r: int):
+    """Shared, never written: the identity on (R^3)^r and its 3x3 block mask."""
+    return np.eye(3 * r), np.kron(np.eye(r), np.ones((3, 3)))
+
+
+def _sphere_ascent(a, value, derivs):
+    """Safeguarded modified-Newton ascent on (S^2)^r (Absil, Mahony &
+    Sepulchre 2008, ch. 6; Nocedal & Wright 3.4) from the unit rows a
+    (B, r, 3) of B problems; value(a) gives their values, derivs(a) their
+    Euclidean gradients g (B, r, 3) and Hessians H (B, r, 3, r, 3).
+
+    The step is d = |Hess|^-1 P g, with P = blockdiag(1 - a_x a_x^T) and the
+    Riemannian Hessian in ambient coordinates, P H P - blockdiag(lam_x P_x)
+    with lam_x = a_x . g_x, less blockdiag(a_x a_x^T) so that normal
+    directions have eigenvalue -1; each eigenvalue is replaced by its
+    magnitude, floored at 1e-8 times the largest. d is then tangent, Newton's
+    step where the Hessian is negative definite, and an ascent direction
+    elsewhere; a step is taken only where the value rises. Returns the points,
+    their values and whether each converged: its last model gain (P g) . d / 2
+    is below 1e-12 and no eigenvalue exceeds the floor.
+    """
+    r = a.shape[1]
+    eye, block = _blocks(r)
+
+    def newton(a, g, h):
+        n = len(eye)
+        a, g, h = a.reshape(-1, n), g.reshape(-1, n), h.reshape(-1, n, n)
+        # lam_x on row x's coordinates: blockdiag(lam_x P_x) scales the rows
+        # of P by it, and blockdiag(a_x a_x^T) = 1 - P.
+        lam = np.einsum("bi,ij->bj", a * g, block)
+        t = g - lam * a
+        proj = eye - block * (a[:, :, None] * a[:, None, :])
+        w, v = np.linalg.eigh(proj @ h @ proj + (1.0 - lam)[..., None] * proj - eye)
+        floor = 1e-8 * np.abs(w).max(axis=1, keepdims=True)
+        coef = t[:, None] @ v / np.maximum(np.abs(w), floor)[:, None]
+        d = (coef @ v.transpose(0, 2, 1))[:, 0]
+        concave = w[:, -1] <= floor[:, 0]
+        return d.reshape(-1, r, 3), 0.5 * np.einsum("bi,bi->b", t, d), concave
+
+    val = value(a)
+    d, model, concave = newton(a, *derivs(a))
+    active = model >= 1e-13
+    for _ in range(60):
+        if not active.any():
+            break
+        # Each active problem halves its step from 1 until its normalized rows
+        # score higher or the step falls to 1e-12; it stops after a gain or a
+        # model gain below 1e-13. An active problem has moved in every round,
+        # so none takes more than 60 steps.
+        start, step, pending = val, 1.0, active
+        while pending.any() and step > 1e-12:
+            x = a + step * d
+            cand = x / np.sqrt(np.einsum("bxc,bxc->bx", x, x))[..., None]
+            cand_val = value(cand)
+            up = pending & (cand_val > val)
+            a = np.where(up[:, None, None], cand, a)
+            val = np.where(up, cand_val, val)
+            pending &= ~up
+            step *= 0.5
+        d, model, concave = newton(a, *derivs(a))
+        active = (val - start >= 1e-13) & (model >= 1e-13)
+    return a, val, (model < 1e-12) & concave
+
+
+def _ascend(rows, value, sweep, sweeps: int, tol: float, finish=None):
     """Sweep the batch of restarts `rows` in place; returns each restart's
     value and converged flag. value(rows) scores the starts; sweep(rows)
     updates the live restarts' rows in place and returns their new values and
     which of them moved. A restart stops at its first sweep that gains less
     than tol, keeps the better of its last two values, and has converged if
-    that sweep moved it."""
+    that sweep moved it. Restarts live after `sweeps` sweeps have not
+    converged, unless finish(rows, live) updates the rows of those restarts
+    in place and reports them converged."""
     val = value(rows)
     converged = np.zeros(len(val), dtype=bool)
     live = np.arange(len(val))
@@ -219,11 +288,13 @@ def _ascend(rows, value, sweep, sweeps: int, tol: float):
         converged[live[done]] = moved[done]
         live = live[~done]
         if live.size == 0:
-            break
+            return val, converged
+    if finish is not None:
+        val[live], converged[live] = finish(rows, live)
     return val, converged
 
 
-def best_of_restarts(draw, value, sweep, restarts, seed, sweeps, tol):
+def best_of_restarts(draw, value, sweep, restarts, seed, sweeps, tol, finish=None):
     """Best of `restarts` see-saws, `_ascend`ed chunk by chunk.
 
     draw(rngs) gives a chunk's starting arrays, restart r drawn from
@@ -240,7 +311,7 @@ def best_of_restarts(draw, value, sweep, restarts, seed, sweeps, tol):
     for lo in range(0, restarts, RESTART_CHUNK):
         seeds = master.spawn(min(RESTART_CHUNK, restarts - lo))
         rows = draw([np.random.default_rng(child) for child in seeds])
-        val, converged = _ascend(rows, value, sweep, sweeps, tol)
+        val, converged = _ascend(rows, value, sweep, sweeps, tol, finish)
         history.extend(val.tolist())
         any_converged = any_converged or bool(converged.any())
         best = int(np.argmax(val))
@@ -254,24 +325,39 @@ def _seesaw_value(m, corr, restarts: int, seed: int) -> tuple[float, np.ndarray]
 
     With the A-side fixed, the best B observables are b_y || T^T d_y; with
     those fixed, the best A observables are a_x || sum_y M[x,y] T b_y. Both
-    half-steps are exact maximizations, so each restart's value is monotone.
-    Returns (value, bloch_rows) of the best restart.
+    half-steps are exact, so each restart's value is monotone, but the
+    ascent is linear: `_sphere_ascent` finishes the restarts still live after
+    200 sweeps. Returns (value, bloch_rows) of the best restart.
     """
+
+    value = functools.partial(_objective, m=m, corr=corr)
 
     def sweep(rows):
         a = rows[0]
         b = _normalize_rows((m.T @ a) @ corr)
         a[...] = _normalize_rows(m @ (b @ corr.T), fallback=a)
-        return _objective(a, m, corr), np.ones(len(a), dtype=bool)
+        return value(a), np.ones(len(a), dtype=bool)
+
+    def derivs(a):
+        # f = sum_y |w_y|, w_y = T^T d_y: g_x = sum_y M[x,y] T u_y with
+        # u_y = w_y / |w_y|, H_xx' = sum_y M[x,y] M[x',y] T (1 - u_y u_y^T) T^T / |w_y|.
+        w = (m.T @ a) @ corr
+        norms = np.maximum(np.linalg.norm(w, axis=-1), 1e-14)[..., None]
+        tu = (w / norms) @ corr.T
+        k = (corr @ corr.T - tu[..., :, None] * tu[..., None, :]) / norms[..., None]
+        return m @ tu, np.einsum("xy,zy,byac->bxazc", m, m, k, optimize=True)
+
+    def finish(rows, live):
+        rows[0][live], val, converged = _sphere_ascent(rows[0][live], value, derivs)
+        return val, converged
 
     def draw(rngs):
         starts = [rng.normal(size=(m.shape[0], 3)) for rng in rngs]
         return [_normalize_rows(np.stack(starts))]
 
     best, rows, _, converged = best_of_restarts(
-        draw,
-        lambda rows: _objective(rows[0], m, corr),
-        sweep, restarts, seed, sweeps=200, tol=1e-12,
+        draw, lambda rows: value(rows[0]), sweep, restarts, seed,
+        sweeps=200, tol=1e-12, finish=finish,
     )
     if not converged:
         raise NonConvergenceError(
@@ -302,8 +388,10 @@ def state_max(
 ) -> float:
     """Maximal quantum value of the FCBI on a given two-qubit state.
 
-    CHSH has the closed form sqrt(t0^2 + t1^2); everything else runs the
-    see-saw on sum_y ||T^T d_y||.
+    CHSH has the closed form sqrt(t0^2 + t1^2). Everything else gets a
+    numeric estimate of max sum_y ||T^T d_y||, which is not certified: the
+    see-saw, with the Newton finish of the restarts it leaves live. Raises
+    NonConvergenceError when the finish too stalls in every restart.
     """
     if matrix.tag == CHSH:
         t0, t1 = rho.singvals[0], rho.singvals[1]

@@ -8,9 +8,8 @@ is read off the engine's one contraction, `columns`, evaluated with U
 replaced by the unit rows e_(x, c). An intermediate party's input x enters
 column x only, so its whole block has the closed-form update
 U[x] = H[x, x] / |H[x, x]|; a leaf's input enters every column, and each of
-its rows is polished by safeguarded modified Newton steps on the sphere,
-written in ambient coordinates so that no tangent basis is built; they
-converge quadratically on this two-dimensional problem. Each H is first
+its rows is polished by the modified-Newton ascent `fcbi._sphere_ascent`
+with r = 1, which the bipartite see-saw's finish shares. Each H is first
 divided by its largest entry: the best block does not depend on that scale,
 and on networks with tens of leaves the raw entries fall below the updates'
 absolute floors (1e-14 on norms, 1e-12 on magnitudes). A source's operand is
@@ -46,7 +45,10 @@ from .evaluator import (
     _CrossObjective,
     input_counts_for,
 )
-from .fcbi import CHSH, SIGN_BLOCK_BITS, _normalize_rows, best_of_restarts, sign_table
+from .fcbi import (
+    CHSH, SIGN_BLOCK_BITS, _normalize_rows, _sphere_ascent, best_of_restarts,
+    sign_table,
+)
 from .qstate import TwoQubitState
 from .topology import NetworkTopology
 
@@ -85,76 +87,23 @@ class LocalModel:
     responses: dict[int, np.ndarray]
 
 
-def _max_abs_powersum(
-    cs: np.ndarray, gs: np.ndarray, l: int, start: np.ndarray
-) -> np.ndarray:
-    """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere, for each of
-    B problems at once: cs (B, k), gs (B, k, 3), start (B, 3).
-
-    Each problem is polished from its start by safeguarded modified Newton
-    steps on the sphere (Nocedal & Wright, Numerical Optimization, 3.4). At
-    each point n the tangent gradient r and the Riemannian Hessian, a 3x3
-    matrix in ambient coordinates, give the step d = |Hess|^-1 r: each
-    eigenvalue is replaced by its magnitude, floored at 1e-8 times the
-    largest. The normal n is given eigenvalue -1 and r is tangent, so d is
-    tangent; it is the Newton step where the Hessian is negative definite on
-    the tangent plane, and an ascent direction everywhere. The step is
-    retracted onto the sphere and halved until the value rises. The problems
-    polish in lockstep, each with its own step, accept count and stopping
-    test, so no result scores below its start.
-    """
+def _powersum(cs: np.ndarray, gs: np.ndarray, l: int):
+    """sum_j |c_j + g_j . n|^(1/l) at rows n (B, 1, 3), and its Euclidean
+    derivatives with |.| floored at 1e-12; cs (B, k), gs (B, k, 3)."""
     p = 1.0 / l
-    batch = len(cs)
 
-    def score(n):
-        return (np.abs(cs + np.einsum("bjc,bc->bj", gs, n)) ** p).sum(axis=-1)
+    def value(n):
+        return (np.abs(cs + np.einsum("bjc,bc->bj", gs, n[:, 0])) ** p).sum(axis=-1)
 
-    def newton(n):
-        """The tangent step d (B, 3) at n and its model gain 1/2 r . d."""
-        v = cs + np.einsum("bjc,bc->bj", gs, n)
+    def derivs(n):
+        v = cs + np.einsum("bjc,bc->bj", gs, n[:, 0])
         mags = np.maximum(np.abs(v), 1e-12)
         slope = p * mags ** (p - 1.0)
-        g = np.einsum("bj,bjc->bc", slope * np.sign(v), gs)
-        lam = np.einsum("bc,bc->b", n, g)
-        r = g - lam[:, None] * n
-        # The Riemannian Hessian P H P - lam P in ambient coordinates, with
-        # -n n^T added so that n is an eigenvector of eigenvalue -1.
-        nn = n[:, :, None] * n[:, None, :]
-        proj = np.eye(3) - nn
-        h = np.einsum("bj,bja,bjc->bac", (p - 1.0) * slope / mags, gs, gs)
-        w, eig = np.linalg.eigh(proj @ h @ proj - lam[:, None, None] * proj - nn)
-        w = np.abs(w)
-        w = np.maximum(w, 1e-8 * w.max(axis=1, keepdims=True))
-        d = np.einsum("bac,bc->ba", eig, np.einsum("bac,ba->bc", eig, r) / w)
-        return d, 0.5 * np.einsum("bc,bc->b", r, d)
+        g = (slope * np.sign(v))[:, None] @ gs
+        h = (gs * ((p - 1.0) * slope / mags)[..., None]).transpose(0, 2, 1) @ gs
+        return g, h[:, None, :, None]
 
-    n, val = start, score(start)
-
-    # Every problem is stepped each round; one that has stopped keeps its n.
-    # A problem stops when the model gain at a fresh point, or the gain of an
-    # accepted step, falls below 1e-13, when its step falls to 1e-12, or
-    # after 60 accepted steps.
-    d, model = newton(n)
-    step = np.ones(batch)
-    accepts = np.zeros(batch, dtype=int)
-    active = model >= 1e-13
-    while active.any():
-        x = n + step[:, None] * d
-        cand = x / np.sqrt(np.einsum("bc,bc->b", x, x))[:, None]
-        cand_val = score(cand)
-        up = active & (cand_val > val)
-        gain = cand_val - val
-        n = np.where(up[:, None], cand, n)
-        val = np.where(up, cand_val, val)
-        accepts += up
-        if up.any():
-            fresh_d, model = newton(n)
-            d = np.where(up[:, None], fresh_d, d)
-        step = np.where(up, 1.0, step * 0.5)
-        active &= np.where(
-            up, (gain >= 1e-13) & (accepts < 60) & (model >= 1e-13), step > 1e-12
-        )
-    return n
+    return value, derivs
 
 
 def _draw(obj: _CrossObjective, rngs) -> list[np.ndarray]:
@@ -192,7 +141,9 @@ def _sweep(obj: _CrossObjective, rows):
                     c = np.einsum("byjc,byc->bj", h, u) - np.einsum(
                         "bjc,bc->bj", h[:, x], u[:, x]
                     )
-                    u[:, x] = _max_abs_powersum(c, h[:, x], obj.l, u[:, x])
+                    u[:, x] = _sphere_ascent(
+                        u[:, x, None], *_powersum(c, h[:, x], obj.l)
+                    )[0][:, 0]
             vecs[i][side][ok] = u
         factors[i] = obj.factor(vecs, i)
     return obj.value(factors), moved

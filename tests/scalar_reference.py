@@ -60,52 +60,106 @@ def local_model_S(ineq, model):
     return float(np.sum(np.abs(I) ** (1.0 / ineq.l)))
 
 
-def max_abs_powersum(cs, gs, l, start):
-    """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere for one
-    problem: modified Newton steps on the sphere from the start (the tangent
-    Hessian's eigenvalues replaced by their magnitudes, floored at 1e-8 times
-    max(1, the largest)) with backtracking, one step at a time."""
-    p = 1.0 / l
-
-    def h(n):
-        return float(np.sum(np.abs(cs + gs @ n) ** p))
-
-    def newton(n):
-        # Tangent basis: e_z (e_x near the poles) projected off n, and n x e1.
-        a = np.array([1.0, 0.0, 0.0]) if abs(n[2]) >= 0.9 else np.array([0.0, 0.0, 1.0])
-        e1 = a - (a @ n) * n
+def tangent_derivs(a, g, h):
+    """The Riemannian gradient (2r,) and Hessian (2r, 2r) on (S^2)^r at the
+    unit rows a (r, 3), from the Euclidean gradient g (r, 3) and Hessian h
+    (r, 3, r, 3), in a tangent basis of each row; also the bases (r, 2, 3).
+    The Hessian's blocks are E_x h_xx' E_x'^T - delta_xx' (a_x . g_x)."""
+    r = len(a)
+    basis = []
+    for n in a:
+        # e_z (e_x near the poles) projected off n, and n x e1.
+        e = np.array([1.0, 0.0, 0.0]) if abs(n[2]) >= 0.9 else np.array([0.0, 0.0, 1.0])
+        e1 = e - (e @ n) * n
         e1 /= np.linalg.norm(e1)
-        basis = np.array([e1, np.cross(n, e1)])
-        v = cs + gs @ n
-        mags = np.maximum(np.abs(v), 1e-12)
-        w1 = p * mags ** (p - 1.0) * np.sign(v)
-        w2 = p * (p - 1.0) * mags ** (p - 2.0)
-        t = gs @ basis.T  # (k, 2): g_j . e_a
-        r = w1 @ t
-        hess = (t.T * w2) @ t - (w1 @ (gs @ n)) * np.eye(2)
-        lams, vecs = np.linalg.eigh(hess)
-        mods = np.maximum(np.abs(lams), 1e-8 * max(1.0, np.abs(lams).max()))
-        d = vecs @ ((vecs.T @ r) / mods)
-        return d @ basis, 0.5 * (r @ d)
+        basis.append(np.array([e1, np.cross(n, e1)]))
+    t = np.concatenate([basis[x] @ g[x] for x in range(r)])
+    hess = np.zeros((2 * r, 2 * r))
+    for x in range(r):
+        for y in range(r):
+            hess[2 * x : 2 * x + 2, 2 * y : 2 * y + 2] = basis[x] @ h[x, :, y] @ basis[y].T
+        hess[2 * x : 2 * x + 2, 2 * x : 2 * x + 2] -= (a[x] @ g[x]) * np.eye(2)
+    return t, hess, basis
 
-    n, val = start, h(start)
-    d, model = newton(n)
+
+def sphere_ascent(a, f):
+    """Modified Newton ascent on (S^2)^r for one problem from the unit rows
+    a (r, 3), one step at a time; f(a) gives the value, the Euclidean
+    gradient (r, 3) and the Euclidean Hessian (r, 3, r, 3).
+
+    Works in `tangent_derivs`' basis of each row: the Riemannian Hessian's
+    eigenvalues are replaced by their magnitudes floored at 1e-8 times
+    max(1, the largest), and the step is halved until the value rises. Stops
+    when the model gain falls below 1e-13, an accepted gain falls below
+    1e-13, the step falls to 1e-12, or after 60 accepted steps. Returns the
+    rows, their value and whether the last model gain is below 1e-12 with no
+    eigenvalue above the floor."""
+
+    def newton(a):
+        t, hess, basis = tangent_derivs(a, *f(a)[1:])
+        lams, vecs = np.linalg.eigh(hess)
+        floor = 1e-8 * max(1.0, np.abs(lams).max())
+        d = vecs @ ((vecs.T @ t) / np.maximum(np.abs(lams), floor))
+        step = np.array([d[2 * x : 2 * x + 2] @ e for x, e in enumerate(basis)])
+        return step, 0.5 * (t @ d), lams.max() <= floor
+
+    val = f(a)[0]
+    d, model, concave = newton(a)
     accepts = 0
     while model >= 1e-13 and accepts < 60:
         step, gain = 1.0, None
         while step > 1e-12:
-            cand = n + step * d
-            cand /= np.linalg.norm(cand)
-            if h(cand) > val:
-                gain = h(cand) - val
-                n, val = cand, h(cand)
+            cand = a + step * d
+            cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
+            if f(cand)[0] > val:
+                gain = f(cand)[0] - val
+                a, val = cand, f(cand)[0]
                 break
             step *= 0.5
-        if gain is None or gain < 1e-13:
+        if gain is None:
             break
         accepts += 1
-        d, model = newton(n)
-    return n
+        d, model, concave = newton(a)
+        if gain < 1e-13:
+            break
+    return a, val, model < 1e-12 and concave
+
+
+def max_abs_powersum(cs, gs, l, start):
+    """Maximize sum_j |c_j + g_j . n|^(1/l) over the unit sphere for one
+    problem by `sphere_ascent` from the start (|c_j + g_j . n| floored at
+    1e-12 in the derivatives)."""
+    p = 1.0 / l
+
+    def f(n):
+        v = cs + gs @ n[0]
+        mags = np.maximum(np.abs(v), 1e-12)
+        grad = (p * mags ** (p - 1.0) * np.sign(v)) @ gs
+        hess = (gs.T * (p * (p - 1.0) * mags ** (p - 2.0))) @ gs
+        return float(np.sum(np.abs(v) ** p)), grad[None], hess[None, :, None]
+
+    return sphere_ascent(start[None], f)[0][0]
+
+
+def bipartite(m, corr):
+    """f(a) for `sphere_ascent`: the value sum_y |T^T d_y|, d_y = sum_x M[x,y] a_x,
+    of the A-side rows a with its Euclidean gradient and Hessian, one column
+    at a time."""
+
+    def f(a):
+        value, grad = 0.0, np.zeros_like(a)
+        hess = np.zeros(a.shape + a.shape)
+        for y in range(m.shape[1]):
+            w = corr.T @ (m[:, y] @ a)
+            norm = max(np.linalg.norm(w), 1e-14)
+            value += np.linalg.norm(w)
+            tw = corr @ (w / norm)
+            block = (corr @ corr.T - np.outer(tw, tw)) / norm
+            grad += np.outer(m[:, y], tw)
+            hess += np.einsum("x,z,ac->xazc", m[:, y], m[:, y], block)
+        return value, grad, hess
+
+    return f
 
 
 def seesaw_restart(obj, vecs, sweeps=120, tol=1e-11):

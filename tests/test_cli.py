@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from netbell import cli
 from netbell.builder import mixed_state_bound
 from netbell.errors import NonConvergenceError
-from netbell.qstate import WernerSpec, werner
+from netbell.qstate import WernerSpec, random_mixed, werner
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -198,6 +198,26 @@ def test_missing_states_is_exit_2(tmp_path):
     path.write_text(json.dumps(config))
     proc = run_cli("eval", str(path))
     assert proc.returncode == 2
+
+
+def test_bounds_on_a_slow_mixed_state(tmp_path):
+    """EBI on random_mixed(4) at source 1 of six_party_asymmetric: the
+    see-saw alone stalls at 4.72566596071 in every restart, and `bounds`
+    exited 3 with a partial report. The Newton finish gives a mixed bound:
+    the EBI leaf's factor falls from 4 sqrt(3) to 4.725668564936."""
+    config = json.loads((CONFIG_DIR / "six_party_asymmetric.json").read_text())
+    rho = random_mixed(4).matrix
+    config["states"]["1"] = {
+        "type": "matrix",
+        "matrix": [[[z.real, z.imag] for z in row] for row in rho],
+    }
+    path = tmp_path / "asymmetric_mixed4.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("bounds", str(path))
+    assert proc.returncode == 0, proc.stderr
+    out = strict_json(proc.stdout)
+    ratio = (4.725668564936 / (4.0 * np.sqrt(3.0))) ** (1.0 / 3.0)
+    assert out["mixed"] == pytest.approx(out["quantum"] * ratio, rel=1e-10)
 
 
 def test_nonconvergence_is_exit_3(monkeypatch, capsys):
