@@ -106,22 +106,29 @@ def build_inequality(
         raise TooFewLeavesError(
             f"the construction needs at least two leaf nodes, found {leaves.l}"
         )
-    peripheral = leaves.peripheral_set
-    given = set(fcbi_map)
-    if given != peripheral:
+    # In a connected network of more than two parties no source joins two
+    # leaves, so the sorted peripheral sources are distinct.
+    peripheral = np.sort(leaves.peripheral_sources).tolist()
+    try:
+        maps = list(map(fcbi_map.__getitem__, peripheral))
+    except KeyError:
+        maps = None
+    if maps is None or len(fcbi_map) != len(peripheral):
         raise MissingFcbiError(
-            f"fcbi_map must cover exactly the peripheral sources {sorted(peripheral)}, got {sorted(given)}"
+            f"fcbi_map must cover exactly the peripheral sources {peripheral}, got {sorted(fcbi_map)}"
         )
     if k < 1:
         raise ColumnMismatchError("intermediate input count k must be positive")
-    for s, m in fcbi_map.items():
-        if m.cols != k:
-            raise ColumnMismatchError(
-                f"FCBI for source {s} has {m.cols} columns, expected k={k}"
-            )
+    # Leaves usually share a few maps: check each distinct one once, and name
+    # the first source in fcbi_map order that carries a bad one.
+    if any(m.cols != k for m in dict(zip(map(id, maps), maps)).values()):
+        s, m = next((s, m) for s, m in fcbi_map.items() if m.cols != k)
+        raise ColumnMismatchError(
+            f"FCBI for source {s} has {m.cols} columns, expected k={k}"
+        )
 
-    betas = [fcbi_map[s].classical_bound for s in sorted(peripheral)]
-    opts = [fcbi_map[s].quantum_opt for s in sorted(peripheral)]
+    betas = [m.classical_bound for m in maps]
+    opts = [m.quantum_opt for m in maps]
     return NetworkInequality(
         topology=topology,
         leaves=leaves,

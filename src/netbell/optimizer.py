@@ -26,7 +26,10 @@ their rows, and a leaf's rows are polished for every live restart at once.
 The exhaustive oracle enumerates the deterministic leaf response tables;
 intermediate parties answer +1, since their sign cannot change |I_j|.
 Local models are the classical twin: `_local_columns` sums source weights
-times party response tables over the hidden variables in one einsum.
+times party response tables over the hidden variables in one contraction,
+with the model axis last. Its greedy path is planned once per random-oracle
+call and reused for every chunk of models; each step runs as a plain C
+einsum, which on these narrow operands beats numpy's planned einsum.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from .topology import NetworkTopology
 
 EXHAUSTIVE_CAP_BITS = 24
 HIDDEN_SPACE_CAP = 2**12
+# One einsum call takes at most 32 operands before numpy 2 and 64 since;
+# see _local_columns.
+_STEP_OPERANDS = 16
 
 VIOLATED = "VIOLATED"
 BOUNDARY = "BOUNDARY"
@@ -311,45 +317,83 @@ def _local_columns(
     cards: dict[int, int],
     weights: dict[int, np.ndarray],
     responses: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Column correlators I, shape (models, k), of a batch of local models.
+    path: list[tuple[int, ...]] | None = None,
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Column correlators I, shape (k, models), of a batch of local models,
+    and the contraction path that summed them.
 
-    weights[s] has shape (models, cards[s]) and responses[p] shape
-    (models, inputs_p, prod of incident alphabet sizes). One einsum sums
-    over the hidden variables. Labels: 0 models, 1 the column j, s + 1 the
-    hidden variable of a source with cards[s] > 1; a source of alphabet 1
-    enters as w[:, 0] on [0]. A table splits row-major into (models,
-    inputs, c_s1, c_s2, ...) over its labelled sources in ascending order;
-    a leaf's inputs are first summed against its Delta weights M[:, j], an
-    intermediate's inputs are the k columns. That spends 2 + (labelled
-    sources) of numpy's 52 labels: HIDDEN_SPACE_CAP allows 12, and past 50
-    the hidden alphabet alone has more than 2^50 tuples.
+    The model axis is last: weights[s] has shape (cards[s], models) and
+    responses[p] shape (inputs_p, prod of incident alphabet sizes, models).
+    Each operand is held that way and contiguous: a source's weights as
+    (c_s, models), or (models,) for an alphabet of 1; a party's table split
+    row-major over its incident sources of alphabet above 1, in ascending
+    order, as (inputs, c_s1, c_s2, ..., models). A leaf's inputs are first
+    summed against its Delta weights M[:, j]; an intermediate's inputs are
+    the k columns. Labels: 0 the models, 1 the column j, 2, 3, ... the
+    sources of alphabet above 1 in ascending order; HIDDEN_SPACE_CAP allows
+    12 of them, well inside numpy's 52 labels.
+
+    The greedy path is planned from these operands unless one is given: a
+    path planned for one model count contracts any other. Each step is one
+    plain C einsum over the operands it names, keeping the labels that a
+    later step or the output still needs, model axis last. A step names
+    more than two operands only when every alphabet is 1, so that no label
+    is summed; a longer one than _STEP_OPERANDS is multiplied out in parts.
     """
     leaf_set = {int(p) for p in ineq.leaves.leaf_set}
-    label = {s: s + 1 for s, c in cards.items() if c > 1}
+    labelled = [s for s in sorted(cards) if cards[s] > 1]
+    label = {s: i for i, s in enumerate(labelled, start=2)}
     operands: list = []
     for s, w in weights.items():
-        operands += [w, [0, label[s]]] if s in label else [w[:, 0], [0]]
+        operands.append((np.ascontiguousarray(w), [label[s], 0]) if s in label
+                        else (np.ascontiguousarray(w[0]), [0]))
     for p in range(1, ineq.topology.n_parties + 1):
         inc = [s for s in ineq.topology.incident_sources(p) if s in label]
         r = responses[p]
-        table = r.reshape(r.shape[:2] + tuple(cards[s] for s in inc))
+        table = r.reshape(r.shape[:1] + tuple(cards[s] for s in inc) + r.shape[-1:])
         if p in leaf_set:
-            m = ineq.leaf_fcbi(p).entries
-            table = np.moveaxis(np.tensordot(table, m, ([1], [0])), -1, 1)
-        operands += [table, [0, 1, *[label[s] for s in inc]]]
-    return np.einsum(*operands, [0, 1], optimize=True)
+            table = np.tensordot(ineq.leaf_fcbi(p).entries, table, ([0], [0]))
+        operands.append((np.ascontiguousarray(table), [1, *[label[s] for s in inc], 0]))
+    if path is None:
+        path = np.einsum_path(*(x for op in operands for x in op), [1, 0],
+                              optimize="greedy")[0][1:]
+    for step in path:
+        group = [operands.pop(i) for i in sorted(step, reverse=True)]
+        needed = {1}.union(*(labels for _, labels in operands))
+        while len(group) > _STEP_OPERANDS:
+            # Labels 0 and 1 only, both kept: a part's product is exact.
+            group = group[_STEP_OPERANDS:] + [_product(group[:_STEP_OPERANDS], needed)]
+        operands.append(_product(group, needed))
+    return operands[0][0], path
+
+
+def _product(group, needed):
+    """One C einsum over (array, labels) pairs, summing every label but the
+    needed ones; the result's labels ascend with the model label 0 last."""
+    kept = set().union(*(labels for _, labels in group)) & needed - {0}
+    out = sorted(kept) + [0]
+    return np.einsum(*(x for op in group for x in op), out), out
 
 
 def evaluate_local_model(ineq: NetworkInequality, model: LocalModel) -> float:
     """S of a local model, averaging over the hidden product alphabet."""
-    I = _local_columns(
+    I, _ = _local_columns(
         ineq,
         model.cardinalities,
-        {s: np.asarray(w)[None] for s, w in model.weights.items()},
-        {p: np.asarray(r)[None] for p, r in model.responses.items()},
-    )[0]
-    return float(np.sum(np.abs(I) ** (1.0 / ineq.l)))
+        {s: np.asarray(w)[:, None] for s, w in model.weights.items()},
+        {p: np.asarray(r)[..., None] for p, r in model.responses.items()},
+    )
+    return float(np.sum(np.abs(I[:, 0]) ** (1.0 / ineq.l)))
+
+
+def _signs(rng, shape) -> np.ndarray:
+    """The +/-1 draws of rng.choice([-1.0, 1.0], shape), same stream, with
+    the model axis moved last in the pass that converts them."""
+    bits = rng.integers(0, 2, shape, dtype=np.int64)
+    signs = np.moveaxis(bits, 0, -1).astype(float, order="C")
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 def _oracle_random(
@@ -375,26 +419,25 @@ def _oracle_random(
     best_value, best_model = -np.inf, None
     chunk = 4096
     done = 0
+    path = None
     while done < budget:
         n = min(chunk, budget - done)
         weights = {
-            s: rng.dirichlet(np.ones(cards[s]), size=n) for s in sources
+            s: rng.dirichlet(np.ones(cards[s]), size=n).T for s in sources
         }
         responses = {}
         for p in parties:
             size = int(np.prod([cards[s] for s in topology.incident_sources(p)]))
-            responses[p] = rng.choice(
-                [-1.0, 1.0], size=(n, counts[p], size)
-            )
-        I = _local_columns(ineq, cards, weights, responses)
-        s_all = (np.abs(I) ** (1.0 / ineq.l)).sum(axis=1)
+            responses[p] = _signs(rng, (n, counts[p], size))
+        I, path = _local_columns(ineq, cards, weights, responses, path)
+        s_all = (np.abs(I) ** (1.0 / ineq.l)).sum(axis=0)
         idx = int(np.argmax(s_all))
         if s_all[idx] > best_value:
             best_value = float(s_all[idx])
             best_model = LocalModel(
                 cardinalities=dict(cards),
-                weights={s: weights[s][idx] for s in sources},
-                responses={p: responses[p][idx] for p in parties},
+                weights={s: weights[s][:, idx].copy() for s in sources},
+                responses={p: responses[p][..., idx].copy() for p in parties},
             )
         done += n
     # A zero budget draws no model, so there is no value to report.

@@ -1,12 +1,20 @@
-import pytest
+import os
 
-from netbell.networks import (
+# One BLAS thread, as CI and perfbench/run.py set it: the kernels multiply
+# small matrices, and a second thread only spins when the cores are shared.
+# numpy reads these when it is first imported, which is below.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from netbell.networks import (  # noqa: E402
     chain_topology,
     chsh_inequality,
     six_party_topology,
     tree5_topology,
 )
-from netbell.qstate import max_entangled
+from netbell.qstate import max_entangled  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,15 @@ def test_chained_closed_forms(k):
     assert m.quantum_opt == pytest.approx(k * np.cos(np.pi / (2 * k)))
 
 
+@pytest.mark.parametrize(
+    "tag, k", [(CHSH, None), (EBI, None)] + [(CHAINED, k) for k in range(2, 17)]
+)
+def test_catalog_bound_matches_enumeration(tag, k):
+    """The catalog's closed-form beta is the exact classical bound."""
+    m = make_catalog(tag, k)
+    assert classical_bound(m.entries) == m.classical_bound
+
+
 def test_bad_catalog_params():
     with pytest.raises(BadKError):
         make_catalog(CHAINED, 1)

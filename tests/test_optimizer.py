@@ -379,17 +379,21 @@ def test_contraction_leaf_cap():
 
 @pytest.mark.parametrize("name", ["tree5", "six_party_asymmetric"])
 def test_local_columns_match_scalar_loop(name):
-    """The batched local-model loop against the scalar one, with hidden
-    alphabets of sizes 1, 2 and 3 mixed over the sources."""
+    """The batched local-model contraction against the scalar loop, with
+    hidden alphabets of sizes 1, 2 and 3 mixed over the sources, and with
+    every alphabet 1, where no label is summed and the one path step names
+    every operand. Each path is planned for 5 models and reused for 2."""
     ineq = chsh_inequality(tree5_topology()) if name == "tree5" else _asymmetric()
     topo = ineq.topology
-    counts = {int(p): ineq.k for p in ineq.leaves.intermediate_set}
-    counts.update({int(p): ineq.leaf_fcbi(int(p)).rows for p in ineq.leaves.leaf_set})
+    counts = input_counts_for(ineq)
     rng = np.random.default_rng(6)
     n = 5
     sources = range(1, topo.n_sources + 1)
-    for _ in range(3):
-        cards = dict(zip(sources, rng.permutation([1 + i % 3 for i in sources]).tolist()))
+    alphabets = [
+        dict(zip(sources, rng.permutation([1 + i % 3 for i in sources]).tolist()))
+        for _ in range(3)
+    ] + [dict.fromkeys(sources, 1)]
+    for cards in alphabets:
         weights = {s: rng.dirichlet(np.ones(c), size=n) for s, c in cards.items()}
         responses = {
             p: rng.choice([-1.0, 1.0], size=(
@@ -397,17 +401,74 @@ def test_local_columns_match_scalar_loop(name):
             ))
             for p in counts
         }
-        batched = (np.abs(_local_columns(ineq, cards, weights, responses))
-                   ** (1.0 / ineq.l)).sum(axis=1)
-        for i in range(n):
+        I, path = _local_columns(
+            ineq, cards, {s: w.T for s, w in weights.items()},
+            {p: np.moveaxis(r, 0, -1) for p, r in responses.items()},
+        )
+        tail, reused = _local_columns(
+            ineq, cards, {s: w[3:].T for s, w in weights.items()},
+            {p: np.moveaxis(r[3:], 0, -1) for p, r in responses.items()}, path,
+        )
+        assert reused is path
+        if max(cards.values()) == 1:
+            assert path == [tuple(range(topo.n_sources + topo.n_parties))]
+        batched = (np.abs(np.hstack([I, tail])) ** (1.0 / ineq.l)).sum(axis=0)
+        for i, b in zip([*range(n), 3, 4], batched):
             model = LocalModel(
                 cardinalities=cards,
                 weights={s: w[i] for s, w in weights.items()},
                 responses={p: r[i] for p, r in responses.items()},
             )
             expected = local_model_S(ineq, model)
-            assert batched[i] == pytest.approx(expected, abs=1e-12)
+            assert b == pytest.approx(expected, abs=1e-12)
             assert evaluate_local_model(ineq, model) == pytest.approx(expected, abs=1e-12)
+
+
+def test_local_models_on_long_chains():
+    """Sources indexed past numpy's 52 einsum labels, and the exhaustive
+    model of a 40-party chain, whose one path step names all 79 operands,
+    more than one einsum call takes."""
+    ineq = chsh_inequality(chain_topology(40))
+    rep = classical_oracle(ineq, mode="exhaustive")
+    assert evaluate_local_model(ineq, rep.best_config) == rep.best_value == 1.0
+    ineq = chsh_inequality(chain_topology(80))
+    cards = {**dict.fromkeys(range(1, 80), 1), 60: 2, 75: 3}
+    rep = classical_oracle(ineq, cards, mode="random", budget=50, seed=1)
+    assert evaluate_local_model(ineq, rep.best_config) == pytest.approx(
+        rep.best_value, abs=1e-12
+    )
+    assert rep.best_value <= 1.0 + 1e-12
+
+
+def test_random_oracle_draws_are_pinned():
+    """Three chunks of models on six_party_asymmetric, the last one 17
+    models long and contracted by the first chunk's path: the best value and
+    the best model are the ones this seed has always drawn. The maximum does
+    not tie, so the model is exact."""
+    rep = classical_oracle(_asymmetric(), mode="random", budget=2 * 4096 + 17, seed=3)
+    assert rep.best_value == pytest.approx(4.184799755580896, abs=1e-12)
+    model = rep.best_config
+    assert model.cardinalities == dict.fromkeys(range(1, 7), 2)
+    assert {s: w.tolist() for s, w in model.weights.items()} == {
+        1: [0.9821499305262541, 0.017850069473745893],
+        2: [0.8199804782571901, 0.18001952174280988],
+        3: [0.04460931647928948, 0.9553906835207105],
+        4: [0.8952183768747625, 0.10478162312523748],
+        5: [0.26967320049557864, 0.7303267995044213],
+        6: [0.7540845717101369, 0.2459154282898632],
+    }
+    assert {p: r.astype(int).tolist() for p, r in model.responses.items()} == {
+        1: [[1, 1], [1, -1], [1, -1]],
+        2: [[1, -1, -1, 1, 1, -1, -1, 1], [-1, 1, -1, 1, 1, -1, 1, 1],
+            [-1, 1, 1, -1, 1, -1, -1, -1], [1, -1, -1, 1, 1, -1, 1, -1]],
+        3: [[1, 1], [1, 1], [-1, 1]],
+        4: [[-1, -1, 1, 1, -1, -1, -1, 1, 1, -1, -1, -1, 1, 1, 1, -1],
+            [1, -1, 1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, 1, 1],
+            [-1, 1, 1, 1, 1, -1, 1, -1, -1, -1, -1, 1, 1, 1, -1, 1],
+            [1, -1, 1, -1, -1, -1, 1, 1, 1, -1, 1, -1, -1, 1, 1, 1]],
+        5: [[-1, -1], [-1, -1], [-1, 1], [1, 1]],
+        6: [[-1, 1, 1, 1], [-1, -1, 1, 1], [1, -1, 1, 1], [1, -1, 1, -1]],
+    }
 
 
 def _generated_inequality(n, k, extra, rng):
