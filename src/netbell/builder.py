@@ -119,13 +119,11 @@ def build_inequality(
         )
     if k < 1:
         raise ColumnMismatchError("intermediate input count k must be positive")
-    # Leaves usually share a few maps: check each distinct one once, and name
-    # the first source in fcbi_map order that carries a bad one.
-    if any(m.cols != k for m in dict(zip(map(id, maps), maps)).values()):
-        s, m = next((s, m) for s, m in fcbi_map.items() if m.cols != k)
-        raise ColumnMismatchError(
-            f"FCBI for source {s} has {m.cols} columns, expected k={k}"
-        )
+    for s, m in fcbi_map.items():
+        if m.cols != k:
+            raise ColumnMismatchError(
+                f"FCBI for source {s} has {m.cols} columns, expected k={k}"
+            )
 
     betas = [m.classical_bound for m in maps]
     opts = [m.quantum_opt for m in maps]

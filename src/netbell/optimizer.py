@@ -57,9 +57,6 @@ from .topology import NetworkTopology
 
 EXHAUSTIVE_CAP_BITS = 24
 HIDDEN_SPACE_CAP = 2**12
-# One einsum call takes at most 32 operands before numpy 2 and 64 since;
-# see _local_columns.
-_STEP_OPERANDS = 16
 
 VIOLATED = "VIOLATED"
 BOUNDARY = "BOUNDARY"
@@ -336,9 +333,10 @@ def _local_columns(
     The greedy path is planned from these operands unless one is given: a
     path planned for one model count contracts any other. Each step is one
     plain C einsum over the operands it names, keeping the labels that a
-    later step or the output still needs, model axis last. A step names
-    more than two operands only when every alphabet is 1, so that no label
-    is summed; a longer one than _STEP_OPERANDS is multiplied out in parts.
+    later step or the output still needs, model axis last. A greedy step
+    may name more than two operands, for instance all of them when every
+    alphabet is 1; one einsum call takes at most 64 operands (32 before
+    numpy 2).
     """
     leaf_set = {int(p) for p in ineq.leaves.leaf_set}
     labelled = [s for s in sorted(cards) if cards[s] > 1]
@@ -360,9 +358,6 @@ def _local_columns(
     for step in path:
         group = [operands.pop(i) for i in sorted(step, reverse=True)]
         needed = {1}.union(*(labels for _, labels in operands))
-        while len(group) > _STEP_OPERANDS:
-            # Labels 0 and 1 only, both kept: a part's product is exact.
-            group = group[_STEP_OPERANDS:] + [_product(group[:_STEP_OPERANDS], needed)]
         operands.append(_product(group, needed))
     return operands[0][0], path
 
