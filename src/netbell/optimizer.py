@@ -30,6 +30,8 @@ times party response tables over the hidden variables in one contraction,
 with the model axis last. Its greedy path is planned once per random-oracle
 call and reused for every chunk of models; each step runs as a plain C
 einsum, which on these narrow operands beats numpy's planned einsum.
+`_draw_models` draws each chunk with the values of numpy's dirichlet and
+integers(0, 2) calls, in fewer passes over the same stream.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ from .topology import NetworkTopology
 
 EXHAUSTIVE_CAP_BITS = 24
 HIDDEN_SPACE_CAP = 2**12
+# Operands of one einsum call: numpy 1.x takes at most 32, numpy 2 at most 64.
+EINSUM_OPERANDS = 32
 
 VIOLATED = "VIOLATED"
 BOUNDARY = "BOUNDARY"
@@ -335,8 +339,9 @@ def _local_columns(
     plain C einsum over the operands it names, keeping the labels that a
     later step or the output still needs, model axis last. A greedy step
     may name more than two operands, for instance all of them when every
-    alphabet is 1; one einsum call takes at most 64 operands (32 before
-    numpy 2).
+    alphabet is 1. A step longer than EINSUM_OPERANDS runs in parts: each
+    part's product keeps, besides those labels, every label the rest of
+    its step still holds, and joins the rest as one operand.
     """
     leaf_set = {int(p) for p in ineq.leaves.leaf_set}
     labelled = [s for s in sorted(cards) if cards[s] > 1]
@@ -358,6 +363,9 @@ def _local_columns(
     for step in path:
         group = [operands.pop(i) for i in sorted(step, reverse=True)]
         needed = {1}.union(*(labels for _, labels in operands))
+        while len(group) > EINSUM_OPERANDS:
+            part, group = group[:EINSUM_OPERANDS], group[EINSUM_OPERANDS:]
+            group.append(_product(part, needed.union(*(labels for _, labels in group))))
         operands.append(_product(group, needed))
     return operands[0][0], path
 
@@ -381,14 +389,35 @@ def evaluate_local_model(ineq: NetworkInequality, model: LocalModel) -> float:
     return float(np.sum(np.abs(I[:, 0]) ** (1.0 / ineq.l)))
 
 
-def _signs(rng, shape) -> np.ndarray:
-    """The +/-1 draws of rng.choice([-1.0, 1.0], shape), same stream, with
-    the model axis moved last in the pass that converts them."""
-    bits = rng.integers(0, 2, shape, dtype=np.int64)
-    signs = np.moveaxis(bits, 0, -1).astype(float, order="C")
-    signs *= 2.0
-    signs -= 1.0
-    return signs
+def _draw_models(rng, n, cards, shapes):
+    """Source weights and party response tables of n random local models,
+    model axis last, drawn from the stream of
+
+        {s: rng.dirichlet(np.ones(c), n) for s, c in cards.items()}
+        {p: rng.integers(0, 2, (n, *shape), dtype=np.int64) * 2 - 1
+         for p, shape in shapes.items()}
+
+    with the same values. numpy's dirichlet with every alpha 1 draws
+    standard_gamma(1), which is standard_exponential, row by row, and
+    multiplies each row by 1 / (its sequential sum); a sum over the outer
+    axis of a contiguous (c, n) array is sequential too, where a sum along
+    a row would be pairwise. integers(0, 2) takes one 32-bit draw per value
+    and returns its top bit (Lemire's method never rejects for a range of
+    2), so one uint32 draw covers every table, in the same order.
+    """
+    weights = {}
+    for s, c in cards.items():
+        e = np.ascontiguousarray(rng.standard_exponential((n, c)).T)
+        e *= 1.0 / e.sum(axis=0)
+        weights[s] = e
+    sizes = [n * int(np.prod(shape)) for shape in shapes.values()]
+    top = np.greater_equal(rng.integers(0, 2**32, sum(sizes), dtype=np.uint32), 2**31)
+    signs = top.view(np.int8) * np.int8(2)
+    signs -= 1
+    responses = {}
+    for (p, shape), part in zip(shapes.items(), np.split(signs, np.cumsum(sizes)[:-1])):
+        responses[p] = np.moveaxis(part.reshape(n, *shape), 0, -1).astype(float, order="C")
+    return weights, responses
 
 
 def _oracle_random(
@@ -409,6 +438,11 @@ def _oracle_random(
         )
     counts = input_counts_for(ineq)
     parties = sorted(counts)
+    alphabets = {s: cards[s] for s in sources}
+    shapes = {
+        p: (counts[p], int(np.prod([cards[s] for s in topology.incident_sources(p)])))
+        for p in parties
+    }
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     best_value, best_model = -np.inf, None
@@ -417,13 +451,7 @@ def _oracle_random(
     path = None
     while done < budget:
         n = min(chunk, budget - done)
-        weights = {
-            s: rng.dirichlet(np.ones(cards[s]), size=n).T for s in sources
-        }
-        responses = {}
-        for p in parties:
-            size = int(np.prod([cards[s] for s in topology.incident_sources(p)]))
-            responses[p] = _signs(rng, (n, counts[p], size))
+        weights, responses = _draw_models(rng, n, alphabets, shapes)
         I, path = _local_columns(ineq, cards, weights, responses, path)
         s_all = (np.abs(I) ** (1.0 / ineq.l)).sum(axis=0)
         idx = int(np.argmax(s_all))

@@ -138,9 +138,14 @@ def build_topology(n_parties: int, edges) -> NetworkTopology:
 
     Validation costs one O(M log M) sort of int64 keys, one per source,
     O(N + M) passes for the range and degree checks, and a few O(N + M)
-    union-find passes for connectivity (see ``_count_components``). More than
-    2M parties always leaves one isolated; that case is refused from the
-    endpoints alone, so time and memory never scale with an N above 2M.
+    union-find passes for connectivity (see ``_count_components``). Each
+    source's smaller and larger endpoint are taken once, by an elementwise
+    min and max rather than a row sort; they give the self-loop check, the
+    duplicate key and the first union-find round. Peak memory, degrees and
+    labels included, stays under five times the (M, 2) int64 edge array
+    when N is about M. More than 2M parties always leaves one isolated; that
+    case is refused from the endpoints alone, so time and memory never scale
+    with an N above 2M.
 
     Raises:
         IndexOutOfRangeError: empty or malformed ``edges`` (booleans,
@@ -162,13 +167,15 @@ def build_topology(n_parties: int, edges) -> NetworkTopology:
         raise IndexOutOfRangeError(
             f"party indices must lie in [1, {n_parties}]"
         )
-    if np.any(arr[:, 0] == arr[:, 1]):
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if np.any(lo == hi):
         raise SelfLoopError("a source must connect two distinct parties")
 
-    # One key per unordered pair: canon[:, 0] < canon[:, 1] <= n_parties, so
-    # a * (n_parties + 1) + b is injective and, by the bound above, exact.
-    canon = np.sort(arr, axis=1)
-    key = canon[:, 0] * (n_parties + 1) + canon[:, 1]
+    # One key per unordered pair: lo < hi <= n_parties, so
+    # lo * (n_parties + 1) + hi is injective and, by the bound above, exact.
+    key = lo * (n_parties + 1)
+    key += hi
     key.sort()
     if np.any(key[1:] == key[:-1]):
         raise DuplicateEdgeError("each source must connect a distinct pair of parties")
@@ -186,37 +193,43 @@ def build_topology(n_parties: int, edges) -> NetworkTopology:
         missing = int(np.flatnonzero(degrees == 0)[0]) + 1
         raise IsolatedPartyError(f"party {missing} is attached to no source")
 
-    n_comp = _count_components(n_parties, arr)
+    del key  # freed before union-find allocates its labels
+    n_comp = _count_components(n_parties, lo, hi)
     if n_comp > 1:
         raise DisconnectedError(f"network has {n_comp} connected components")
 
     return NetworkTopology(n_parties=n_parties, edges=arr, degrees=degrees)
 
 
-def _count_components(n_parties: int, edges: np.ndarray) -> int:
-    """Number of connected components of parties 1..n_parties.
+def _count_components(n_parties: int, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Number of connected components of parties 1..n_parties, given each
+    source's smaller and larger endpoint, lo < hi.
 
     Union-find by minimum label (Shiloach and Vishkin, J. Algorithms 3, 57,
-    1982). Each round keeps the sources whose endpoint roots still differ,
-    hooks the larger root onto the smallest root it meets, then jumps
-    pointers until every party points at its root. A label never exceeds
-    its index, so hooking creates no cycle, and every round with a live
-    source removes at least one root.
+    1982). Each round hooks the larger root of every live source onto the
+    smallest root it meets, jumps pointers until every party points at its
+    root, then keeps the sources whose endpoint roots still differ. On entry
+    every label is its own index and every source is live, so the first
+    round hooks hi onto lo straight from the endpoint columns. A label never
+    exceeds its index, so hooking creates no cycle, and every round with a
+    live source removes at least one root.
     """
     label = np.arange(n_parties + 1)
-    a, b = edges[:, 0], edges[:, 1]
+    a, b = lo, hi
+    top, low = hi, lo
     while True:
-        la, lb = label[a], label[b]
-        live = la != lb
-        if not live.any():
-            break
-        a, b, la, lb = a[live], b[live], la[live], lb[live]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        np.minimum.at(label, top, low)
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        la, lb = label[a], label[b]
+        live = la != lb
+        if not live.any():
+            break
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        top, low = np.maximum(la, lb), np.minimum(la, lb)
     return int(np.count_nonzero(label[1:] == np.arange(1, n_parties + 1)))
 
 

@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RUNS = [
     "analyze", "build", "eval", "bounds", "oracle", "optimize", "discriminate",
     "visibility", "visibility --format csv",
+    "oracle --mode random --budget 20000 --seed 7",
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netbell import fcbi
+from netbell import fcbi, optimizer
 from netbell.analysis import critical_visibility_uniform
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
@@ -435,6 +435,73 @@ def test_local_models_on_long_chains():
     assert rep.best_value == pytest.approx(expected, abs=1e-12)
     assert evaluate_local_model(ineq, rep.best_config) == pytest.approx(expected, abs=1e-12)
     assert rep.best_value <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n", [33, 40, 80])
+def test_local_models_past_the_einsum_operand_limit(n):
+    """Chains whose one-step contraction names 2n - 1 operands, more than
+    one einsum call takes: the exhaustive oracle's model, and random models
+    whose sources of alphabet above 1 have their weights and their parties'
+    tables in different parts of the step, against the scalar loop."""
+    ineq = chsh_inequality(chain_topology(n))
+    best = classical_oracle(ineq, mode="exhaustive").best_config
+    assert evaluate_local_model(ineq, best) == pytest.approx(local_model_S(ineq, best), abs=1e-12)
+
+    topo = ineq.topology
+    counts = input_counts_for(ineq)
+    cards = {**dict.fromkeys(range(1, n), 1), 2: 2, n // 2: 3, n - 1: 2}
+    rng = np.random.default_rng(n)
+    models = 3
+    weights = {s: rng.dirichlet(np.ones(c), size=models) for s, c in cards.items()}
+    responses = {
+        p: rng.choice([-1.0, 1.0], size=(
+            models, counts[p], int(np.prod([cards[s] for s in topo.incident_sources(p)]))
+        ))
+        for p in counts
+    }
+    I, _ = _local_columns(
+        ineq, cards, {s: w.T for s, w in weights.items()},
+        {p: np.moveaxis(r, 0, -1) for p, r in responses.items()},
+        path=[tuple(range(topo.n_sources + topo.n_parties))],
+    )
+    batched = (np.abs(I) ** (1.0 / ineq.l)).sum(axis=0)
+    for i, b in enumerate(batched):
+        model = LocalModel(
+            cardinalities=cards,
+            weights={s: w[i] for s, w in weights.items()},
+            responses={p: r[i] for p, r in responses.items()},
+        )
+        assert b == pytest.approx(local_model_S(ineq, model), abs=1e-12)
+
+
+def test_model_draws_follow_numpy_streams(monkeypatch):
+    """Every chunk the random oracle draws equals, bit for bit, numpy's own
+    draws from the same stream: rng.dirichlet(np.ones(c), n) per source,
+    then rng.integers(0, 2, shape, dtype=np.int64) * 2 - 1 per party.
+    Hidden alphabets 1, 2, 3, 9 and 17 come in through cardinalities=, and
+    the last chunk is 17 models long."""
+    cards = {1: 17, 2: 1, 3: 9, 4: 3, 5: 2, 6: 1}
+    drawn = []
+    draw = optimizer._draw_models
+
+    def record(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(optimizer, "_draw_models", record)
+    classical_oracle(_asymmetric(), cards, mode="random", budget=4096 + 17, seed=11)
+    assert [next(iter(w.values())).shape[-1] for w, _ in drawn] == [4096, 17]
+
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    for weights, responses in drawn:
+        n = weights[1].shape[-1]
+        assert sorted(weights) == sorted(cards)
+        for s in sorted(cards):
+            assert np.array_equal(weights[s], rng.dirichlet(np.ones(cards[s]), n).T)
+        for p in sorted(responses):
+            signs = rng.integers(0, 2, (n, *responses[p].shape[:-1]), dtype=np.int64) * 2 - 1
+            assert np.array_equal(responses[p], np.moveaxis(signs, 0, -1))
+            assert responses[p].dtype == np.float64 and responses[p].flags.c_contiguous
 
 
 def test_random_oracle_draws_are_pinned():

@@ -139,6 +139,24 @@ def test_isolated_party_memory_follows_sources():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("shape", ["tree", "chain"])
+def test_build_memory_follows_edges(shape):
+    """build_topology on 10^5 parties peaks at five times the edge array
+    under tracemalloc, the degrees and union-find labels included."""
+    n = 100_000
+    if shape == "tree":
+        edges = _random_tree_edges(n, np.random.default_rng(5))
+    else:
+        edges = np.stack([np.arange(1, n), np.arange(2, n + 1)], axis=1)
+    tracemalloc.start()
+    try:
+        build_topology(n, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * edges.nbytes
+
+
 def test_disconnected():
     with pytest.raises(DisconnectedError, match="^network has 2 connected components$"):
         build_topology(4, [(1, 2), (3, 4)])
