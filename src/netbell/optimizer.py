@@ -59,8 +59,9 @@ from .topology import NetworkTopology
 
 EXHAUSTIVE_CAP_BITS = 24
 HIDDEN_SPACE_CAP = 2**12
-# Operands of one einsum call: numpy 1.x takes at most 32, numpy 2 at most 64.
-EINSUM_OPERANDS = 32
+# Operands of one einsum call: numpy 1.x takes fewer than 32, numpy 2 fewer
+# than 64 (the output takes one more of the iterator's slots).
+EINSUM_OPERANDS = 31
 
 VIOLATED = "VIOLATED"
 BOUNDARY = "BOUNDARY"

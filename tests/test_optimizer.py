@@ -438,11 +438,20 @@ def test_local_models_on_long_chains():
 
 
 @pytest.mark.parametrize("n", [33, 40, 80])
-def test_local_models_past_the_einsum_operand_limit(n):
+def test_local_models_past_the_einsum_operand_limit(n, monkeypatch):
     """Chains whose one-step contraction names 2n - 1 operands, more than
     one einsum call takes: the exhaustive oracle's model, and random models
     whose sources of alphabet above 1 have their weights and their parties'
-    tables in different parts of the step, against the scalar loop."""
+    tables in different parts of the step, against the scalar loop. No
+    einsum call gets 32 operands or more, which numpy 1.x rejects."""
+    einsum = np.einsum
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sizes.append(sum(isinstance(a, np.ndarray) for a in args))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
     ineq = chsh_inequality(chain_topology(n))
     best = classical_oracle(ineq, mode="exhaustive").best_config
     assert evaluate_local_model(ineq, best) == pytest.approx(local_model_S(ineq, best), abs=1e-12)
@@ -472,6 +481,7 @@ def test_local_models_past_the_einsum_operand_limit(n):
             responses={p: r[i] for p, r in responses.items()},
         )
         assert b == pytest.approx(local_model_S(ineq, model), abs=1e-12)
+    assert max(sizes) == optimizer.EINSUM_OPERANDS < 32
 
 
 def test_model_draws_follow_numpy_streams(monkeypatch):
