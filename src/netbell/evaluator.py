@@ -2,15 +2,15 @@
 
 For traceless qubit observables on a product of two-qubit states, every
 column correlator I_j is a tensor-network contraction of the per-source
-correlation matrices. `_CrossObjective` is the one engine for it: each
-source enters as its factor F_s = U_a T_s U_b^T, with one row of Bloch
-vectors per input of each endpoint, and all k columns come from one
-np.einsum. `evaluate_S`, `optimizer.cross_evaluate` and the network
-see-saw all call it.
+correlation matrices. `contract` runs every contraction in the package,
+the local-model oracle's too, as a greedy path planned once per labels and
+shapes. In `_CrossObjective` each source enters as its factor
+F_s = U_a T_s U_b^T, one row of Bloch vectors per endpoint input;
+`evaluate_S`, `optimizer.cross_evaluate` and the network see-saw call it.
 
 `evaluate_S(method="tensor")` is the independent oracle for up to
-MAX_ORACLE_SOURCES = 13 sources. One einsum traces the 4x4 source density
-matrices against the party operators, each leaf measuring its Delta
+MAX_ORACLE_SOURCES = 13 sources. One contraction traces the 4x4 source
+density matrices against the party operators, each leaf measuring its Delta
 operator, without forming either tensor product; it also accepts joint
 (possibly entangled) party observables. It reads density matrices and
 operators only, none of the Bloch data the engine contracts.
@@ -144,15 +144,83 @@ def input_counts_for(ineq: NetworkInequality) -> dict[int, int]:
     return counts
 
 
-# einsum index of each target leaf with several host sources; "j" is the
-# column index that every intermediate party's input is tied to.
-_LEAF_INDICES = "abcdefghiklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# Operands of one einsum call: numpy 1.x takes fewer than 32, numpy 2 fewer
+# than 64 (the output takes one more of the iterator's slots).
+EINSUM_OPERANDS = 31
+
+# Plan of `contract` by output, then each operand's labels and non-batch shape.
+_PLANS: dict[tuple, list] = {}
+
+
+def contract(operands, out) -> np.ndarray:
+    """The einsum of (array, labels) pairs into the labels `out`.
+
+    Labels are ints below 52; Ellipsis stands for broadcast batch axes,
+    which lead or trail in an operand as they do in `out`. The plan is made
+    once per output, labels and non-batch shapes, so a batch of any size
+    reuses it. A call runs only C einsums, and it empties `operands` so
+    that each input is freed once its step has run.
+    """
+    arrays, key = [], [tuple(out)]
+    for a, ls in operands:
+        arrays.append(a)
+        ls = tuple(ls)
+        n = len(ls) - (... in ls)
+        key += ls, (a.shape[a.ndim - n:] if ls[:1] == (...,) else a.shape[:n])
+    key = tuple(key)
+    operands.clear()
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _plan(key[1::2], key[2::2], list(out))
+    for pops, calls in plan:
+        group = [arrays.pop(i) for i in pops]
+        for subs, result in calls:
+            product = np.einsum(*[x for op in zip(group, subs) for x in op], result)
+            group = group[len(subs):] + [product]
+        arrays += group
+    return arrays[0]
+
+
+def _plan(labels, cores, out) -> list:
+    """Per step of numpy's greedy path, the operand positions it pops, in
+    descending order, and its einsum calls over at most EINSUM_OPERANDS
+    operands each. A call's product keeps, in ascending order, the labels
+    the output, a later step or the rest of its step needs, batch axes
+    leading or trailing as in `out`, and joins the rest of its step."""
+    live, plan = [list(ls) for ls in labels], []
+    bare = [[x for x in ls if x is not ...] for ls in [*live, out]]
+    shapes = [np.broadcast_to(0.0, c) for c in cores]
+    path = np.einsum_path(*(x for op in zip(shapes, bare) for x in op), bare[-1],
+                          optimize="greedy")[0][1:]
+    for step in path:
+        pops = sorted(step, reverse=True)
+        group = [live.pop(i) for i in pops]
+        needed, calls = set(out).union(*live), []
+        while True:
+            subs, group = group[:EINSUM_OPERANDS], group[EINSUM_OPERANDS:]
+            held = set().union(*subs)
+            result = out
+            if group or live:
+                result = sorted(held & needed.union(*group) - {...})
+                if ... in held:
+                    result = [..., *result] if out[:1] == [...] else [*result, ...]
+            calls.append((subs, result))
+            if not group:
+                break
+            group.append(result)
+        live.append(result)
+        plan.append((pops, calls))
+    return plan
+
+
+# Labels of target leaves with several host sources; label 0 is the column j.
+_LEAF_LABELS = 51
 
 # Operand of a source by the roles of its endpoints (a, b): "j" for an
-# intermediate, "l" for a leaf with its own einsum index, "f" for a leaf
-# whose only host source this is. Each entry is the einsum that reduces
+# intermediate, "l" for a leaf with its own label, "f" for a leaf whose
+# only host source this is. Each entry is the einsum that reduces
 # F[x_a, x_b] and the folded leaves' weights to R (None: R = F), and the
-# axes of R, with a and b standing for the endpoints' leaf indices.
+# axes of R, with a and b standing for the endpoints' leaf labels.
 _OPERANDS = {
     ("j", "j"): ("...jj->...j", "j"),
     ("j", "l"): (None, "jb"),
@@ -178,12 +246,11 @@ class _CrossObjective:
     (a, b). Source i enters the contraction as its operand R_i: the factor
     F_i = U_a T_i U_b^T with the weights M_p[:, j] of every target leaf p
     whose only host source it is summed in, and the diagonal taken where
-    both axes carry the column index j. Operands that reduce to a vector
-    over j enter as their product, so einsum operands and indices are spent
-    only on leaves with several host sources, which a host other than the
-    target can have. Every I_j is linear in each endpoint's rows, so the
-    block coefficients of an endpoint are the same contraction, `columns`,
-    evaluated at unit rows.
+    both axes carry the column index j. `columns` contracts the R_i and
+    the weights of the leaves with several host sources (a host other than
+    the target can have them; each takes a label) along a planned path.
+    Every I_j is linear in each endpoint's rows, so the block coefficients
+    of an endpoint are the same contraction evaluated at unit rows.
 
     Every array may carry leading batch axes, one strategy per leading
     index: endpoint rows of shape (..., inputs, 3) give operands and
@@ -211,36 +278,26 @@ class _CrossObjective:
             for p, s in target.leaves.peripheral_map.items()
         }
         lettered = [p for p in leaf_weights if host.degrees[p - 1] > 1]
-        if len(lettered) > len(_LEAF_INDICES):
+        if len(lettered) > _LEAF_LABELS:
             raise TooLargeForExhaustiveError(
                 f"{len(lettered)} leaves with several host sources exceed the "
-                f"{len(_LEAF_INDICES)} einsum indices"
+                f"{_LEAF_LABELS} einsum indices"
             )
-        index = dict.fromkeys(self.intermediate, "j")
-        index.update(zip(lettered, _LEAF_INDICES))
+        index = {p: n for n, p in enumerate(lettered, start=1)}
         role = dict.fromkeys(self.intermediate, "j")
         role.update(dict.fromkeys(lettered, "l"))
-        self.weights = [leaf_weights[p] for p in lettered]
+        self._weights = [(leaf_weights[p], [index[p], 0]) for p in lettered]
 
         self.ends = [tuple(e) for e in host.edges.tolist()]
         self.corrs = [states[s].corr for s in range(1, host.n_sources + 1)]
-        self.inner, self.outer = [], []
-        self._folds, outer_subs = [], []
+        self._folds, self._labels = [], []
         for i, (a, b) in enumerate(self.ends):
             roles = role.get(a, "f"), role.get(b, "f")
-            spec, out = _OPERANDS[roles]
+            spec, axes = _OPERANDS[roles]
             folded = [leaf_weights[p] for p, r in zip((a, b), roles) if r == "f"]
             self._folds.append(None if spec is None else (spec, folded))
-            letters = {"a": index.get(a), "b": index.get(b), "j": "j"}
-            subs = "".join(letters[c] for c in out)
-            if subs == "j":
-                self.inner.append(i)
-            else:
-                self.outer.append(i)
-                outer_subs.append("..." + subs)
-        self._value_spec = ",".join(
-            ["...j"] + outer_subs + [index[p] + "j" for p in lettered]
-        ) + "->...j"
+            labels = {"a": index.get(a), "b": index.get(b), "j": 0}
+            self._labels.append([..., *(labels[c] for c in axes)])
 
     def vectors(self, row) -> list[list[np.ndarray]]:
         """Endpoint arrays with row(party, input, source) filled in endpoint order."""
@@ -280,12 +337,7 @@ class _CrossObjective:
 
     def columns(self, factors) -> np.ndarray:
         """All k column correlators I_j."""
-        d = np.ones(self.k)
-        for i in self.inner:
-            d = d * factors[i]
-        return np.einsum(
-            self._value_spec, d, *[factors[i] for i in self.outer], *self.weights
-        )
+        return contract([*zip(factors, self._labels), *self._weights], [..., 0])
 
     def value(self, factors) -> np.ndarray:
         """S = sum_j |I_j|^(1/l), one value per leading index."""
@@ -310,11 +362,8 @@ class _CrossObjective:
         return np.swapaxes(h, -1, -2)
 
 
-# Four einsum indices per source, a row and a column for each qubit, of numpy's 52.
+# Four labels per source, a row and a column per qubit, planned at once: 52.
 MAX_ORACLE_SOURCES = 13
-
-# Contraction path of `_network_trace` by source count and edge bytes.
-_TRACE_PATHS: dict[tuple[int, bytes], list] = {}
 
 
 def _party_operator(topology, strategy, party: int, inp: int) -> np.ndarray:
@@ -334,7 +383,7 @@ def _party_operator(topology, strategy, party: int, inp: int) -> np.ndarray:
 
 
 def _network_trace(topology, states, operator) -> float:
-    """Tr[(rho_1 x ... x rho_M)(O_1 x ... x O_N)] as one einsum, O_p = operator(p).
+    """Tr[(rho_1 x ... x rho_M)(O_1 x ... x O_N)] as one contraction, O_p = operator(p).
     Qubit q = 2(s - 1) + side of source s (side 0 is its first party) has row
     index 2q and column index 2q + 1; operator rows meet state columns."""
     m = topology.n_sources
@@ -346,19 +395,13 @@ def _network_trace(topology, states, operator) -> float:
     operands = []
     for s in range(1, m + 1):
         r = 4 * (s - 1)
-        operands += [states[s].matrix.reshape(2, 2, 2, 2), [r, r + 2, r + 1, r + 3]]
+        operands.append((states[s].matrix.reshape(2, 2, 2, 2), [r, r + 2, r + 1, r + 3]))
     for party in range(1, topology.n_parties + 1):
         sources = topology.incident_sources(party)
         qubits = [2 * s - 2 + (topology.endpoints(s)[0] != party) for s in sources]
         op = operator(party).reshape((2,) * (2 * len(qubits)))
-        operands += [op, [2 * q + 1 for q in qubits] + [2 * q for q in qubits]]
-    # The contraction path depends only on the topology, which its source
-    # count and edge list determine, so numpy's greedy search runs once per
-    # topology.
-    key = (m, topology.edges.tobytes())
-    if key not in _TRACE_PATHS:
-        _TRACE_PATHS[key] = np.einsum_path(*operands, [], optimize="greedy")[0]
-    return float(np.einsum(*operands, [], optimize=_TRACE_PATHS[key]).real)
+        operands.append((op, [2 * q + 1 for q in qubits] + [2 * q for q in qubits]))
+    return float(contract(operands, []).real)
 
 
 def correlator_full_tensor(

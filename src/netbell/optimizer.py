@@ -25,13 +25,10 @@ their rows, and a leaf's rows are polished for every live restart at once.
 
 The exhaustive oracle enumerates the deterministic leaf response tables;
 intermediate parties answer +1, since their sign cannot change |I_j|.
-Local models are the classical twin: `_local_columns` sums source weights
-times party response tables over the hidden variables in one contraction,
-with the model axis last. Its greedy path is planned once per random-oracle
-call and reused for every chunk of models; each step runs as a plain C
-einsum, which on these narrow operands beats numpy's planned einsum.
-`_draw_models` draws each chunk with the values of numpy's dirichlet and
-integers(0, 2) calls, in fewer passes over the same stream.
+Local models are the classical twin: `_local_columns` contracts source
+weights and party response tables over the hidden variables, models as
+batch axes. `_draw_models` draws each chunk with the values of numpy's
+dirichlet and integers(0, 2) calls, in fewer passes over the same stream.
 """
 
 from __future__ import annotations
@@ -41,15 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .builder import NetworkInequality
-from .errors import (
-    TooLargeForExhaustiveError,
-    UnsupportedFcbiError,
-)
-from .evaluator import (
-    MeasurementStrategy,
-    _CrossObjective,
-    input_counts_for,
-)
+from .errors import TooLargeForExhaustiveError, UnsupportedFcbiError
+from .evaluator import MeasurementStrategy, _CrossObjective, contract, input_counts_for
 from .fcbi import (
     CHSH, SIGN_BLOCK_BITS, _normalize_rows, _sphere_ascent, best_of_restarts,
     sign_table,
@@ -59,9 +49,6 @@ from .topology import NetworkTopology
 
 EXHAUSTIVE_CAP_BITS = 24
 HIDDEN_SPACE_CAP = 2**12
-# Operands of one einsum call: numpy 1.x takes fewer than 32, numpy 2 fewer
-# than 64 (the output takes one more of the iterator's slots).
-EINSUM_OPERANDS = 31
 
 VIOLATED = "VIOLATED"
 BOUNDARY = "BOUNDARY"
@@ -319,10 +306,8 @@ def _local_columns(
     cards: dict[int, int],
     weights: dict[int, np.ndarray],
     responses: dict[int, np.ndarray],
-    path: list[tuple[int, ...]] | None = None,
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Column correlators I, shape (k, models), of a batch of local models,
-    and the contraction path that summed them.
+) -> np.ndarray:
+    """Column correlators I, shape (k, models), of a batch of local models.
 
     The model axis is last: weights[s] has shape (cards[s], models) and
     responses[p] shape (inputs_p, prod of incident alphabet sizes, models).
@@ -331,57 +316,30 @@ def _local_columns(
     row-major over its incident sources of alphabet above 1, in ascending
     order, as (inputs, c_s1, c_s2, ..., models). A leaf's inputs are first
     summed against its Delta weights M[:, j]; an intermediate's inputs are
-    the k columns. Labels: 0 the models, 1 the column j, 2, 3, ... the
-    sources of alphabet above 1 in ascending order; HIDDEN_SPACE_CAP allows
-    12 of them, well inside numpy's 52 labels.
-
-    The greedy path is planned from these operands unless one is given: a
-    path planned for one model count contracts any other. Each step is one
-    plain C einsum over the operands it names, keeping the labels that a
-    later step or the output still needs, model axis last. A greedy step
-    may name more than two operands, for instance all of them when every
-    alphabet is 1. A step longer than EINSUM_OPERANDS runs in parts: each
-    part's product keeps, besides those labels, every label the rest of
-    its step still holds, and joins the rest as one operand.
+    the k columns. `contract` sums them, models as trailing batch axes, with
+    label 0 for the column j and 1, 2, ... for the sources of alphabet above
+    1 in ascending order (HIDDEN_SPACE_CAP allows 12 of them).
     """
     leaf_set = {int(p) for p in ineq.leaves.leaf_set}
     labelled = [s for s in sorted(cards) if cards[s] > 1]
-    label = {s: i for i, s in enumerate(labelled, start=2)}
+    label = {s: i for i, s in enumerate(labelled, start=1)}
     operands: list = []
     for s, w in weights.items():
-        operands.append((np.ascontiguousarray(w), [label[s], 0]) if s in label
-                        else (np.ascontiguousarray(w[0]), [0]))
+        operands.append((np.ascontiguousarray(w), [label[s], ...]) if s in label
+                        else (np.ascontiguousarray(w[0]), [...]))
     for p in range(1, ineq.topology.n_parties + 1):
         inc = [s for s in ineq.topology.incident_sources(p) if s in label]
         r = responses[p]
         table = r.reshape(r.shape[:1] + tuple(cards[s] for s in inc) + r.shape[-1:])
         if p in leaf_set:
             table = np.tensordot(ineq.leaf_fcbi(p).entries, table, ([0], [0]))
-        operands.append((np.ascontiguousarray(table), [1, *[label[s] for s in inc], 0]))
-    if path is None:
-        path = np.einsum_path(*(x for op in operands for x in op), [1, 0],
-                              optimize="greedy")[0][1:]
-    for step in path:
-        group = [operands.pop(i) for i in sorted(step, reverse=True)]
-        needed = {1}.union(*(labels for _, labels in operands))
-        while len(group) > EINSUM_OPERANDS:
-            part, group = group[:EINSUM_OPERANDS], group[EINSUM_OPERANDS:]
-            group.append(_product(part, needed.union(*(labels for _, labels in group))))
-        operands.append(_product(group, needed))
-    return operands[0][0], path
-
-
-def _product(group, needed):
-    """One C einsum over (array, labels) pairs, summing every label but the
-    needed ones; the result's labels ascend with the model label 0 last."""
-    kept = set().union(*(labels for _, labels in group)) & needed - {0}
-    out = sorted(kept) + [0]
-    return np.einsum(*(x for op in group for x in op), out), out
+        operands.append((np.ascontiguousarray(table), [0, *[label[s] for s in inc], ...]))
+    return contract(operands, [0, ...])
 
 
 def evaluate_local_model(ineq: NetworkInequality, model: LocalModel) -> float:
     """S of a local model, averaging over the hidden product alphabet."""
-    I, _ = _local_columns(
+    I = _local_columns(
         ineq,
         model.cardinalities,
         {s: np.asarray(w)[:, None] for s, w in model.weights.items()},
@@ -449,11 +407,10 @@ def _oracle_random(
     best_value, best_model = -np.inf, None
     chunk = 4096
     done = 0
-    path = None
     while done < budget:
         n = min(chunk, budget - done)
         weights, responses = _draw_models(rng, n, alphabets, shapes)
-        I, path = _local_columns(ineq, cards, weights, responses, path)
+        I = _local_columns(ineq, cards, weights, responses)
         s_all = (np.abs(I) ** (1.0 / ineq.l)).sum(axis=0)
         idx = int(np.argmax(s_all))
         if s_all[idx] > best_value:

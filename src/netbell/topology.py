@@ -182,11 +182,11 @@ def build_topology(n_parties: int, edges) -> NetworkTopology:
 
     m = arr.shape[0]
     if n_parties > 2 * m:
-        # Fewer endpoints than parties: find the lowest isolated party from
-        # the endpoints alone rather than allocate a degree per party.
-        present = np.unique(arr)
-        gaps = np.flatnonzero(present != np.arange(1, present.size + 1))
-        missing = int(gaps[0]) + 1 if gaps.size else present.size + 1
+        # Fewer endpoints than parties: the lowest isolated party follows the
+        # first gap in the sorted endpoints (np.unique would import numpy.ma).
+        ends = np.concatenate(([0], np.sort(arr, axis=None)))
+        gaps = np.flatnonzero(ends[1:] - ends[:-1] > 1)
+        missing = int(ends[gaps[0] if gaps.size else -1]) + 1
         raise IsolatedPartyError(f"party {missing} is attached to no source")
     degrees = np.bincount(arr.ravel(), minlength=n_parties + 1)[1:]
     if np.any(degrees == 0):

@@ -1,8 +1,8 @@
 """Scalar reference implementations kept apart from the package.
 
-The package evaluates networks with one einsum engine and local models with
-one batched loop; these plain loops are the checks the tests compare them
-against.
+The package evaluates networks and local models alike through one planned
+contraction, `evaluator.contract`; these plain loops are the checks the
+tests compare it against.
 """
 
 from itertools import product

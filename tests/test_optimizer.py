@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netbell import fcbi, optimizer
+from netbell import evaluator, fcbi, optimizer
 from netbell.analysis import critical_visibility_uniform
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
@@ -376,13 +376,42 @@ def test_contraction_leaf_cap():
         discriminate(star, ring, states, restarts=1)
 
 
+@pytest.mark.parametrize("n", [14, 51])
+def test_star_on_ring_matches_transfer_matrices(n):
+    """The n-leaf star target on the (n + 1)-party ring host: same size,
+    different leaf counts, and every leaf with two host sources, so each
+    takes a label of its own; n = 51 is the most the engine takes. Around
+    the ring, I_j is the (j, j) entry of F_1 D_2 F_2 ... D_N F_N, with
+    F_s = U_s T_s U_(s+1)^T and D_p = diag(M_p[:, j]) at each leaf."""
+    size = n + 1
+    star = chsh_inequality(build_topology(size, [(1, p) for p in range(2, size + 1)]))
+    ring = build_topology(size, [(p, p % size + 1) for p in range(1, size + 1)])
+    states = {s: random_mixed(100 + s) for s in range(1, size + 1)}
+    strategy = _random_strategy(star, ring, np.random.default_rng(n))
+    counts = input_counts_for(star)
+
+    def factor(s):
+        a, b = s, s % size + 1
+        rows = [[strategy.bloch(p, x, s) for x in range(1, counts[p] + 1)] for p in (a, b)]
+        f = np.array(rows[0]) @ states[s].corr @ np.array(rows[1]).T
+        return f if ring.endpoints(s) == (a, b) else f.T
+
+    expected = 0.0
+    for j in range(star.k):
+        chain = factor(1)
+        for p in range(2, size + 1):
+            chain = chain @ np.diag(star.leaf_fcbi(p).entries[:, j]) @ factor(p)
+        expected += abs(chain[j, j]) ** (1.0 / star.l)
+    assert cross_evaluate(star, ring, states, strategy) == pytest.approx(expected, rel=1e-12)
+
+
 
 @pytest.mark.parametrize("name", ["tree5", "six_party_asymmetric"])
-def test_local_columns_match_scalar_loop(name):
+def test_local_columns_match_scalar_loop(name, monkeypatch):
     """The batched local-model contraction against the scalar loop, with
     hidden alphabets of sizes 1, 2 and 3 mixed over the sources, and with
-    every alphabet 1, where no label is summed and the one path step names
-    every operand. Each path is planned for 5 models and reused for 2."""
+    every alphabet 1, where no label is summed and the one planned step
+    names every operand. One plan, made for 5 models, serves 2 and 1."""
     ineq = chsh_inequality(tree5_topology()) if name == "tree5" else _asymmetric()
     topo = ineq.topology
     counts = input_counts_for(ineq)
@@ -393,7 +422,19 @@ def test_local_columns_match_scalar_loop(name):
         dict(zip(sources, rng.permutation([1 + i % 3 for i in sources]).tolist()))
         for _ in range(3)
     ] + [dict.fromkeys(sources, 1)]
+    einsum_path = np.einsum_path
+    paths = []
+
+    def planned(*args, **kwargs):
+        result = einsum_path(*args, **kwargs)
+        paths.append(result[0][1:])
+        return result
+
+    monkeypatch.setattr(np, "einsum_path", planned)
+    monkeypatch.setattr(evaluator, "_PLANS", {})
     for cards in alphabets:
+        evaluator._PLANS.clear()
+        paths.clear()
         weights = {s: rng.dirichlet(np.ones(c), size=n) for s, c in cards.items()}
         responses = {
             p: rng.choice([-1.0, 1.0], size=(
@@ -401,17 +442,14 @@ def test_local_columns_match_scalar_loop(name):
             ))
             for p in counts
         }
-        I, path = _local_columns(
+        I = _local_columns(
             ineq, cards, {s: w.T for s, w in weights.items()},
             {p: np.moveaxis(r, 0, -1) for p, r in responses.items()},
         )
-        tail, reused = _local_columns(
+        tail = _local_columns(
             ineq, cards, {s: w[3:].T for s, w in weights.items()},
-            {p: np.moveaxis(r[3:], 0, -1) for p, r in responses.items()}, path,
+            {p: np.moveaxis(r[3:], 0, -1) for p, r in responses.items()},
         )
-        assert reused is path
-        if max(cards.values()) == 1:
-            assert path == [tuple(range(topo.n_sources + topo.n_parties))]
         batched = (np.abs(np.hstack([I, tail])) ** (1.0 / ineq.l)).sum(axis=0)
         for i, b in zip([*range(n), 3, 4], batched):
             model = LocalModel(
@@ -422,6 +460,9 @@ def test_local_columns_match_scalar_loop(name):
             expected = local_model_S(ineq, model)
             assert b == pytest.approx(expected, abs=1e-12)
             assert evaluate_local_model(ineq, model) == pytest.approx(expected, abs=1e-12)
+        assert len(paths) == 1
+        if max(cards.values()) == 1:
+            assert paths[0] == [tuple(range(topo.n_sources + topo.n_parties))]
 
 
 def test_local_models_on_long_chains():
@@ -452,6 +493,12 @@ def test_local_models_past_the_einsum_operand_limit(n, monkeypatch):
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counted)
+    # Every contraction runs as one path step over all 2n - 1 operands.
+    monkeypatch.setattr(evaluator, "_PLANS", {})
+    monkeypatch.setattr(
+        np, "einsum_path",
+        lambda *operands, **kwargs: (["einsum_path", tuple(range(len(operands) // 2))], ""),
+    )
     ineq = chsh_inequality(chain_topology(n))
     best = classical_oracle(ineq, mode="exhaustive").best_config
     assert evaluate_local_model(ineq, best) == pytest.approx(local_model_S(ineq, best), abs=1e-12)
@@ -468,10 +515,9 @@ def test_local_models_past_the_einsum_operand_limit(n, monkeypatch):
         ))
         for p in counts
     }
-    I, _ = _local_columns(
+    I = _local_columns(
         ineq, cards, {s: w.T for s, w in weights.items()},
         {p: np.moveaxis(r, 0, -1) for p, r in responses.items()},
-        path=[tuple(range(topo.n_sources + topo.n_parties))],
     )
     batched = (np.abs(I) ** (1.0 / ineq.l)).sum(axis=0)
     for i, b in enumerate(batched):
@@ -481,7 +527,7 @@ def test_local_models_past_the_einsum_operand_limit(n, monkeypatch):
             responses={p: r[i] for p, r in responses.items()},
         )
         assert b == pytest.approx(local_model_S(ineq, model), abs=1e-12)
-    assert max(sizes) == optimizer.EINSUM_OPERANDS < 32
+    assert max(sizes) == evaluator.EINSUM_OPERANDS < 32
 
 
 def test_model_draws_follow_numpy_streams(monkeypatch):
