@@ -4,10 +4,13 @@ consolidated violation reports.
 Every Werner-noise number comes from one formula. A |Phi+> Werner source of
 visibility v has T = v diag(1, -1, 1), so |T^T d| = v |d| for every vector:
 its state maximum is v q_s under any FCBI map, and its largest correlation
-singular value is t0 = v (Horodecki^3, Phys. Lett. A 200, 340, 1995). With
-such a source everywhere the mixed-state bound is quantum_bound * v^(M/l),
-which crosses the classical bound at v = (beta/q)^(l/M); on the peripheral
-sources alone the product of the visibilities must exceed (beta/q)^l.
+singular value is t0 = v (Horodecki^3, Phys. Lett. A 200, 340, 1995).
+`fcbi.state_max` is the home of that v q_s: it returns it in closed form
+for the catalog maps, so `mixed_state_bound` on such sources agrees with
+the formulas here. With such a source everywhere the mixed-state bound is
+quantum_bound * v^(M/l), which crosses the classical bound at
+v = (beta/q)^(l/M); on the peripheral sources alone the product of the
+visibilities must exceed (beta/q)^l.
 """
 
 from __future__ import annotations

@@ -31,6 +31,12 @@ CHAINED = "CHAINED"
 EBI = "EBI"
 CUSTOM = "CUSTOM"
 
+# Dimension of the span of the optimal A-side vectors of a catalog map
+# (CHSH has its own closed form); state_max is t0 q when T's top that many
+# singular values agree to the relative tolerance below.
+_TOP_DIMENSION = {CHAINED: 2, EBI: 3}
+_EQUAL_SPECTRUM_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -386,14 +392,29 @@ def state_max(
 ) -> float:
     """Maximal quantum value of the FCBI on a given two-qubit state.
 
-    CHSH has the closed form sqrt(t0^2 + t1^2). Everything else gets a
-    numeric estimate of max sum_y ||T^T d_y||, which is not certified: the
-    see-saw, with the Newton finish of the restarts it leaves live. Raises
-    NonConvergenceError when the finish too stalls in every restart.
+    With T's singular values t0 >= t1 >= t2, CHSH has the closed form
+    sqrt(t0^2 + t1^2). Since ||T^T d|| <= t0 ||d||, every map obeys
+    state_max <= t0 q, with equality when the optimal A-side vectors fit
+    into directions that T scales by t0 (Horodecki^3, Phys. Lett. A 200,
+    340, 1995): chained maps, whose optimum is planar (Wehner, PRA 73,
+    022110, 2006), when t1 = t0, and EBI, whose optimum spans R^3, when
+    t2 = t0. Werner states of |Phi+> are such cases, with state_max = v q.
+    There the ceiling t0 q is returned once those singular values agree to
+    the relative tolerance _EQUAL_SPECTRUM_RTOL, so it is at most that
+    fraction of t0 q above the maximum.
+
+    Every other spectrum and map, custom maps included, gets a numeric
+    estimate of max sum_y ||T^T d_y||, which is not certified: the see-saw,
+    with the Newton finish of the restarts it leaves live. restarts and seed
+    only drive it. Raises NonConvergenceError when the finish too stalls in
+    every restart.
     """
     if matrix.tag == CHSH:
         t0, t1 = rho.singvals[0], rho.singvals[1]
         return float(np.sqrt(t0 * t0 + t1 * t1))
+    t, top = rho.singvals, _TOP_DIMENSION.get(matrix.tag)
+    if top is not None and t[0] - t[top - 1] <= _EQUAL_SPECTRUM_RTOL * t[0]:
+        return float(t[0] * matrix.quantum_opt)
     val, _ = _seesaw_value(matrix.entries, rho.corr, restarts, seed)
     return val
 

@@ -8,6 +8,7 @@ to a leaf is called peripheral.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,6 +99,9 @@ class LeafAnalysis:
         return {int(s) for s in self.peripheral_sources}
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def _party_pairs(edges) -> np.ndarray:
     """``edges`` as an (M, 2) int64 array.
 
@@ -110,9 +114,11 @@ def _party_pairs(edges) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise IndexOutOfRangeError("edges must be a non-empty list of party pairs")
     kind = arr.dtype.kind
-    # A list mixing booleans and ints casts to an int array, so scan lists.
-    bools = not isinstance(edges, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for pair in edges for v in pair
+    # A list mixing booleans and ints casts to an int array, so scan lists;
+    # the shape check above makes every pair iterable. Checking each type
+    # against a set stays in C, unlike an isinstance per entry.
+    bools = not isinstance(edges, np.ndarray) and not _BOOL_TYPES.isdisjoint(
+        map(type, itertools.chain.from_iterable(edges))
     )
     if (
         bools

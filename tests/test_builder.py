@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netbell import builder
+from netbell.analysis import uniform_werner_bound
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     ColumnMismatchError,
@@ -82,6 +83,24 @@ def test_mixed_state_bound_werner(six_party_ineq):
 def test_mixed_state_bound_max_entangled(six_party_ineq, phi_plus_states):
     bound = mixed_state_bound(six_party_ineq, phi_plus_states)
     assert bound == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "k,maps",
+    [(3, {s: (CHAINED, 3) for s in (1, 3, 5)}),
+     (4, {1: (EBI, None), 3: (EBI, None), 5: (CHAINED, 4)})],
+    ids=["six_party_chained3", "six_party_asymmetric"],
+)
+def test_mixed_state_bound_is_the_uniform_werner_formula(six_party, k, maps):
+    """Uniform |Phi+> Werner sources: mixed_state_bound, through state_max's
+    closed form v q on every chained and EBI leaf, is the analysis formula
+    quantum_bound v^(M/l)."""
+    ineq = build_inequality(six_party, k, {s: make_catalog(*m) for s, m in maps.items()})
+    for v in np.linspace(0.0, 1.0, 11):
+        states = {s: werner(WernerSpec(v)) for s in range(1, 7)}
+        assert mixed_state_bound(ineq, states) == pytest.approx(
+            uniform_werner_bound(ineq, v), rel=1e-12
+        )
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,14 @@ from netbell.fcbi import (
     sos_witness,
     state_max,
 )
-from netbell.qstate import SIGMA, WernerSpec, max_entangled, random_mixed, werner
+from netbell.qstate import (
+    SIGMA,
+    WernerSpec,
+    bloch_decompose,
+    max_entangled,
+    random_mixed,
+    werner,
+)
 from scalar_reference import bipartite, sphere_ascent, tangent_derivs
 
 
@@ -140,11 +147,16 @@ def test_chsh_state_max_closed_form(seed):
 
 
 def test_ebi_state_max_scales_with_visibility():
+    """The see-saw reaches v 4 sqrt(3) on |Phi+> Werner states, the value
+    state_max takes in closed form there."""
     m = make_catalog(EBI)
-    full = state_max(m, max_entangled(), restarts=16, seed=0)
-    assert full == pytest.approx(4 * np.sqrt(3), abs=1e-6)
-    noisy = state_max(m, werner(WernerSpec(0.6)), restarts=16, seed=0)
-    assert noisy == pytest.approx(0.6 * 4 * np.sqrt(3), abs=1e-6)
+    for v in (1.0, 0.6):
+        rho = werner(WernerSpec(v))
+        numeric, _ = _seesaw_value(m.entries, rho.corr, 16, 0)
+        assert numeric == pytest.approx(v * 4 * np.sqrt(3), abs=1e-6)
+        assert state_max(m, rho, restarts=16, seed=0) == pytest.approx(
+            v * 4 * np.sqrt(3), abs=1e-6
+        )
 
 
 def test_sos_witness_at_chsh_optimum():
@@ -353,11 +365,14 @@ def _chained(k):
 
 @pytest.mark.parametrize("k", [15, 20, 24])
 def test_state_max_reaches_chained_optimum_at_large_k(k):
-    """The see-saw alone ends 1.3e-10, 1.6e-7 and 1.0e-5 below k cos(pi/2k)
-    here and raises; the finish reaches it."""
-    assert state_max(_chained(k), max_entangled()) == pytest.approx(
-        k * np.cos(np.pi / (2 * k)), abs=1e-12
-    )
+    """On |Phi+> the sweeps alone end 1.3e-10, 1.6e-7 and 1.0e-5 below
+    k cos(pi/2k) and raise; the finish reaches it. state_max takes it in
+    closed form."""
+    q = k * np.cos(np.pi / (2 * k))
+    rho = max_entangled()
+    numeric, _ = _seesaw_value(fcbi.chained_matrix(k), rho.corr, 32, 0)
+    assert numeric == pytest.approx(q, abs=1e-12)
+    assert state_max(_chained(k), rho) == pytest.approx(q, abs=1e-12)
 
 
 def test_state_max_leaves_the_chained24_plateaus():
@@ -365,6 +380,91 @@ def test_state_max_leaves_the_chained24_plateaus():
     still live after 200 sweeps, most on plateaus near 12.7625 and 11.638,
     and the see-saw alone returned 12.76266. The maximum is 13.887132448."""
     assert state_max(_chained(24), random_mixed(5)) >= 13.88713 - 1e-6
+
+
+def _rotated_werner(v, rng):
+    """v |psi><psi| + (1 - v) 1/4 with |psi> = (U x V)|Phi+> for Haar-random
+    U and V: T is rotated, its spectrum is v's, and at v = 0 it is 0."""
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    psi = np.kron(haar(), haar()) @ np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return bloch_decompose(v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(4) / 4.0)
+
+
+def _bell_diagonal(p, s, a):
+    """p |Phi+><Phi+| + s |Psi+><Psi+| + a |Psi-><Psi-|, with
+    T = diag(p + s - a, -p + s - a, p - s - a)."""
+    bell = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]])
+    bell /= np.sqrt(2.0)
+    return bloch_decompose(sum(w * np.outer(b, b) for w, b in zip((p, s, a), bell)))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [make_catalog(CHAINED, k) for k in (2, 3, 4, 8)] + [_chained(24), make_catalog(EBI)],
+    ids=["chained2", "chained3", "chained4", "chained8", "chained24", "ebi"],
+)
+def test_state_max_closed_form_on_werner_states(m):
+    """On |Phi+> Werner states, plain and locally rotated, state_max is the
+    ceiling t0 q, never below the see-saw and at most 1e-9 above it."""
+    rng = np.random.default_rng(23)
+    for v in np.linspace(0.0, 1.0, 11):
+        for rho in (werner(WernerSpec(v)), _rotated_werner(v, rng)):
+            value = state_max(m, rho)
+            assert value == rho.singvals[0] * m.quantum_opt
+            numeric, _ = _seesaw_value(m.entries, rho.corr, 8, 0)
+            assert numeric - 1e-12 <= value <= numeric + 1e-9
+            if v == 0.0:
+                assert value == 0.0
+
+
+def test_state_max_closed_form_on_top_two_equal_spectrum():
+    """0.6 Phi+ + 0.2 Psi+ + 0.2 Psi- has T = diag(0.6, -0.6, 0.2): chained
+    optima are planar, so they reach 0.6 q; EBI's span R^3, so it lies
+    strictly between 0.2 q and 0.6 q and takes the see-saw."""
+    rho = _bell_diagonal(0.6, 0.2, 0.2)
+    np.testing.assert_allclose(rho.corr, np.diag([0.6, -0.6, 0.2]), atol=1e-15)
+    for k in (3, 4, 8):
+        m = make_catalog(CHAINED, k)
+        value = state_max(m, rho)
+        assert value == rho.singvals[0] * m.quantum_opt
+        numeric, _ = _seesaw_value(m.entries, rho.corr, 32, 0)
+        assert numeric - 1e-12 <= value <= numeric + 1e-9
+    m = make_catalog(EBI)
+    value = state_max(m, rho)
+    assert value == _seesaw_value(m.entries, rho.corr, 32, 0)[0]
+    assert 0.2 * m.quantum_opt < value < 0.6 * m.quantum_opt - 0.1
+
+
+def test_state_max_closed_form_needs_equal_top_values(monkeypatch):
+    """t1 = t0 (1 - 1e-9) lies outside the relative tolerance, so chained-3
+    takes the see-saw; so does a custom map on a Werner state, whose q is
+    itself an estimate. The see-saw stays below the ceiling t0 q."""
+    calls = []
+
+    def counting_seesaw(*args):
+        calls.append(args)
+        return _seesaw_value(*args)
+
+    monkeypatch.setattr(fcbi, "_seesaw_value", counting_seesaw)
+    # T = diag(0.6 + 2e, -(0.6 - 2e), 0.2), so t1 / t0 = 1 - 4e / (0.6 + 2e).
+    e = 0.6e-9 / (4.0 - 2e-9)
+    rho = _bell_diagonal(0.6, 0.2 + e, 0.2 - e)
+    t0, t1 = rho.singvals[:2]
+    assert t1 / t0 == pytest.approx(1.0 - 1e-9, rel=1e-12)
+    m = make_catalog(CHAINED, 3)
+    value = state_max(m, rho)
+    assert len(calls) == 1
+    assert t1 * m.quantum_opt - 1e-12 <= value <= t0 * m.quantum_opt
+    state_max(m, werner(WernerSpec(0.7)))
+    assert len(calls) == 1
+    custom = fcbi.CoefficientMatrix(
+        entries=m.entries, tag=fcbi.CUSTOM, classical_bound=2.0, quantum_opt=m.quantum_opt
+    )
+    state_max(custom, werner(WernerSpec(0.7)))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

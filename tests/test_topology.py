@@ -93,9 +93,9 @@ def test_out_of_range_rejected():
         build_topology(3, [])
     # Booleans, fractions and strings, which an int64 cast would truncate or
     # parse, are refused as such: the first five would otherwise build
-    # [[1, 2], [2, 3]].
+    # [[1, 2], [2, 3]], and the sixth would read as the self-loop [1, 1].
     for edges in ([(1.5, 2), (2, 3)], [(True, 2), (2, 3)], [(1, 2), (2, 3.0000001)],
-                  [("1", "2"), ("2", "3")], [(1, 2), (2, "3")],
+                  [("1", "2"), ("2", "3")], [(1, 2), (2, "3")], [[1, True], [2, 3]],
                   np.array([[1.5, 2], [2, 3]]), np.array([[True, False], [False, True]]),
                   np.array([["1", "2"], ["2", "3"]]), [(1, 2), (2, np.inf)]):
         with pytest.raises(IndexOutOfRangeError, match="must be integers"):
