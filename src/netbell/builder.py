@@ -10,7 +10,8 @@ bound uses their quantum optima instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,12 @@ class NetworkInequality:
     classical_bound is the geometric mean of the leaves' FCBI classical
     bounds: a Holder upper bound on S over local models, attained when every
     leaf carries the same map and possibly loose for mixed maps.
+
+    What depends on the inequality alone is derived on first use and kept
+    on the instance, as `NetworkTopology.adjacency` is, and never a state:
+    the intermediate sources, and the evaluator's structure on the
+    inequality's own network (`evaluator._own_objective`), which
+    `evaluate_S`, `check_conditions` and `seesaw_network` reuse.
     """
 
     topology: NetworkTopology
@@ -40,6 +47,7 @@ class NetworkInequality:
     fcbi_map: dict[int, CoefficientMatrix]
     classical_bound: float
     quantum_bound: float
+    _objective: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def l(self) -> int:  # noqa: E743
@@ -48,11 +56,16 @@ class NetworkInequality:
     def leaf_fcbi(self, leaf: int) -> CoefficientMatrix:
         return self.fcbi_map[self.leaves.peripheral_map[leaf]]
 
-    def intermediate_sources(self) -> list[int]:
+    def intermediate_sources(self) -> tuple[int, ...]:
+        """Sources joining two intermediate parties, ascending."""
+        return self._intermediate_sources
+
+    @functools.cached_property
+    def _intermediate_sources(self) -> tuple[int, ...]:
         peripheral = self.leaves.peripheral_set
-        return [
+        return tuple(
             s for s in range(1, self.topology.n_sources + 1) if s not in peripheral
-        ]
+        )
 
     def term(self, j: int) -> dict:
         """Human-readable description of the column-j correlator."""
@@ -75,7 +88,7 @@ class NetworkInequality:
 
 def _geomean(values, l: int) -> float:
     vals = np.asarray(values, dtype=float)
-    if np.any(vals <= 0.0):
+    if (vals <= 0.0).any():
         return 0.0
     # exp(log-sum / l) keeps the l-th root stable for large l
     return float(np.exp(np.log(vals).sum() / l))

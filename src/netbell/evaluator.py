@@ -5,8 +5,17 @@ column correlator I_j is a tensor-network contraction of the per-source
 correlation matrices. `contract` runs every contraction in the package,
 the local-model oracle's too, as a greedy path planned once per labels and
 shapes. In `_CrossObjective` each source enters as its factor
-F_s = U_a T_s U_b^T, one row of Bloch vectors per endpoint input;
-`evaluate_S`, `optimizer.cross_evaluate` and the network see-saw call it.
+F_s = U_a T_s U_b^T, one row of Bloch vectors per endpoint input.
+
+A `_CrossObjective` holds only what depends on its (target, host) pair:
+endpoints, roles, folds, labels, leaf weights, input counts, the slot keys
+in the order its arrays read them, and the plan of its contraction. States
+enter every call as their correlation matrices, and a strategy is read in
+one pass over the slot keys. An inequality keeps the objective on its own
+network (`_own_objective`), built on first use; `evaluate_S`,
+`check_conditions`, `input_counts_for` and `optimizer.seesaw_network` reuse
+it, while `optimizer.discriminate` and `optimizer.cross_evaluate` build one
+per call.
 
 `evaluate_S(method="tensor")` is the independent oracle for up to
 MAX_ORACLE_SOURCES = 13 sources. One contraction traces the 4x4 source
@@ -18,6 +27,7 @@ operators only, none of the Bloch data the engine contracts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,11 +147,12 @@ class ConditionReport:
 
 
 def input_counts_for(ineq: NetworkInequality) -> dict[int, int]:
-    """Input count per party: FCBI rows for leaves, k for intermediates."""
-    counts = dict.fromkeys(ineq.leaves.intermediate_set.tolist(), ineq.k)
-    for leaf, source in ineq.leaves.peripheral_map.items():
-        counts[leaf] = ineq.fcbi_map[source].rows
-    return counts
+    """Input count per party: FCBI rows for leaves, k for intermediates.
+
+    Built once per inequality and shared by every call: read it, never
+    change it.
+    """
+    return _own_objective(ineq).input_counts
 
 
 # Operands of one einsum call: numpy 1.x takes fewer than 32, numpy 2 fewer
@@ -161,17 +172,28 @@ def contract(operands, out) -> np.ndarray:
     reuses it. A call runs only C einsums, and it empties `operands` so
     that each input is freed once its step has run.
     """
-    arrays, key = [], [tuple(out)]
+    plan = _planned(operands, out)
+    arrays = [a for a, _ in operands]
+    operands.clear()
+    return _run(plan, arrays)
+
+
+def _planned(operands, out) -> list:
+    """The plan `contract` runs for these (array, labels) pairs and `out`."""
+    key = [tuple(out)]
     for a, ls in operands:
-        arrays.append(a)
         ls = tuple(ls)
         n = len(ls) - (... in ls)
         key += ls, (a.shape[a.ndim - n:] if ls[:1] == (...,) else a.shape[:n])
     key = tuple(key)
-    operands.clear()
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _plan(key[1::2], key[2::2], list(out))
+    return plan
+
+
+def _run(plan, arrays) -> np.ndarray:
+    """The result of a plan on its operand arrays; the list is consumed."""
     for pops, calls in plan:
         group = [arrays.pop(i) for i in pops]
         for subs, result in calls:
@@ -238,12 +260,20 @@ class _CrossObjective:
     """S of a target inequality evaluated on strategies of a host network.
 
     The target supplies the leaf set, Delta coefficients, column count, and
-    exponent 1/l; the host supplies the sources, states, and endpoints.
-    When host and target coincide this is the plain network objective.
+    exponent 1/l; the host supplies the sources and endpoints. When host and
+    target coincide this is the plain network objective, which
+    `_own_objective` builds once per inequality and keeps on it.
+
+    Everything held here depends on (target, host) alone and is built once:
+    endpoints, roles, folds, labels, leaf weights, input counts, slot keys
+    and, on the first `columns` call, the contraction plan. No state is
+    held: states enter each call as corrs, the list of their correlation
+    matrices T_i in host source order (`corrs`).
 
     A strategy is held as one (inputs, 3) array of Bloch rows per source
     endpoint: vecs[i] = [U_a, U_b] for host source i + 1 with endpoints
-    (a, b). Source i enters the contraction as its operand R_i: the factor
+    (a, b), the rows of the slot keys (party, input, source) in endpoint
+    order. Source i enters the contraction as its operand R_i: the factor
     F_i = U_a T_i U_b^T with the weights M_p[:, j] of every target leaf p
     whose only host source it is summed in, and the diagonal taken where
     both axes carry the column index j. `columns` contracts the R_i and
@@ -258,25 +288,23 @@ class _CrossObjective:
     weights and correlation matrices are shared by the batch.
     """
 
-    def __init__(
-        self,
-        target: NetworkInequality,
-        host: NetworkTopology,
-        states: dict[int, TwoQubitState],
-    ):
+    def __init__(self, target: NetworkInequality, host: NetworkTopology):
         if host.n_parties != target.topology.n_parties:
             raise PartyCountMismatchError(
                 "host and target networks must have the same party count"
             )
         self.k = target.k
         self.l = target.l
+        self.host = host
         self.intermediate = set(target.leaves.intermediate_set.tolist())
-        # Input count per party in the host strategy space.
-        self.input_counts = input_counts_for(target)
-        leaf_weights = {
-            p: target.fcbi_map[s].entries
-            for p, s in target.leaves.peripheral_map.items()
-        }
+        peripheral = target.leaves.peripheral_map
+        # Input count per party in the host strategy space: FCBI rows for
+        # leaves, k for intermediates.
+        self.input_counts = dict.fromkeys(target.leaves.intermediate_set.tolist(), self.k)
+        self.input_counts.update(
+            (p, target.fcbi_map[s].rows) for p, s in peripheral.items()
+        )
+        leaf_weights = {p: target.fcbi_map[s].entries for p, s in peripheral.items()}
         lettered = [p for p in leaf_weights if host.degrees[p - 1] > 1]
         if len(lettered) > _LEAF_LABELS:
             raise TooLargeForExhaustiveError(
@@ -287,9 +315,9 @@ class _CrossObjective:
         role = dict.fromkeys(self.intermediate, "j")
         role.update(dict.fromkeys(lettered, "l"))
         self._weights = [(leaf_weights[p], [index[p], 0]) for p in lettered]
+        self._path = None  # contract's plan for `columns`, taken on its first call
 
         self.ends = [tuple(e) for e in host.edges.tolist()]
-        self.corrs = [states[s].corr for s in range(1, host.n_sources + 1)]
         self._folds, self._labels = [], []
         for i, (a, b) in enumerate(self.ends):
             roles = role.get(a, "f"), role.get(b, "f")
@@ -299,15 +327,55 @@ class _CrossObjective:
             labels = {"a": index.get(a), "b": index.get(b), "j": 0}
             self._labels.append([..., *(labels[c] for c in axes)])
 
-    def vectors(self, row) -> list[list[np.ndarray]]:
-        """Endpoint arrays with row(party, input, source) filled in endpoint order."""
-        return [
-            [
-                np.array([row(p, inp, i + 1) for inp in range(1, self.input_counts[p] + 1)])
-                for p in ends
-            ]
+        # Endpoint (i, side) owns the slot keys, and so the rows, from
+        # _bounds[2i + side] to _bounds[2i + side + 1].
+        self.slot_keys = [
+            (p, inp, i + 1)
             for i, ends in enumerate(self.ends)
+            for p in ends
+            for inp in range(1, self.input_counts[p] + 1)
         ]
+        self._slot_set = frozenset(self.slot_keys)
+        sizes = [self.input_counts[p] for ends in self.ends for p in ends]
+        self._bounds = list(itertools.accumulate(sizes, initial=0))
+
+        # The slots check_conditions reads, in its order: the leaf rows of
+        # each peripheral source by ascending source, as (M^T, rows); then
+        # the two endpoints of each intermediate source, input by input.
+        leaf_of = {s: p for p, s in peripheral.items()}
+        self._leaf_rows, self._pair_rows, keys = [], [], []
+        for s in sorted(leaf_of):
+            m = target.fcbi_map[s]
+            self._leaf_rows.append((m.entries.T, slice(len(keys), len(keys) + m.rows)))
+            keys += [(leaf_of[s], x, s) for x in range(1, m.rows + 1)]
+        for u in target.intermediate_sources():
+            a, b = target.topology.endpoints(u)
+            self._pair_rows.append((u, len(keys)))
+            keys += [(p, j, u) for j in range(1, self.k + 1) for p in (a, b)]
+        self._condition_keys = keys
+
+    def corrs(self, states: dict[int, TwoQubitState]) -> list[np.ndarray]:
+        """The correlation matrices of the host's sources, in source order."""
+        return [states[s].corr for s in range(1, len(self.ends) + 1)]
+
+    def check(self, strategy: MeasurementStrategy) -> None:
+        """strategy.validate on the host: one set comparison when no party
+        has a joint observable and no slot is missing, else validate itself,
+        which skips those parties and names the first missing slot."""
+        if strategy.joint_observables or not strategy.slots.keys() >= self._slot_set:
+            strategy.validate(self.host, self.input_counts)
+
+    def vectors(self, row) -> list[list[np.ndarray]]:
+        """Endpoint arrays with row(party, input, source) filled in slot-key order."""
+        return self._split(np.array([row(*key) for key in self.slot_keys]))
+
+    def gather(self, strategy: MeasurementStrategy) -> list[list[np.ndarray]]:
+        """The strategy's endpoint arrays, read in one pass over the slot keys."""
+        return self._split(_rows(strategy, self.slot_keys))
+
+    def _split(self, rows: np.ndarray) -> list[list[np.ndarray]]:
+        b = self._bounds
+        return [[rows[b[t]:b[t + 1]], rows[b[t + 1]:b[t + 2]]] for t in range(0, len(b) - 1, 2)]
 
     def strategy(self, vecs) -> MeasurementStrategy:
         """The strategy of the endpoint arrays; a zero row becomes sigma_z."""
@@ -320,10 +388,10 @@ class _CrossObjective:
                     )
         return strategy
 
-    def factor(self, vecs, i: int) -> np.ndarray:
+    def factor(self, vecs, corrs, i: int) -> np.ndarray:
         """The operand R_i of source i."""
         a_rows, b_rows = vecs[i]
-        return self._fold(a_rows @ self.corrs[i] @ np.swapaxes(b_rows, -1, -2), i)
+        return self._fold(a_rows @ corrs[i] @ b_rows.swapaxes(-1, -2), i)
 
     def _fold(self, f: np.ndarray, i: int) -> np.ndarray:
         """R_i from the factor F_i: the folded leaves summed in, diagonal taken."""
@@ -332,18 +400,24 @@ class _CrossObjective:
         spec, folded = self._folds[i]
         return np.einsum(spec, f, *folded)
 
-    def factors(self, vecs) -> list[np.ndarray]:
-        return [self.factor(vecs, i) for i in range(len(self.ends))]
+    def factors(self, vecs, corrs) -> list[np.ndarray]:
+        return [self.factor(vecs, corrs, i) for i in range(len(self.ends))]
 
     def columns(self, factors) -> np.ndarray:
-        """All k column correlators I_j."""
-        return contract([*zip(factors, self._labels), *self._weights], [..., 0])
+        """All k column correlators I_j.
+
+        The operands' non-batch shapes are fixed by (target, host), so the
+        plan `contract` would look up is taken once, on the first call.
+        """
+        if self._path is None:
+            self._path = _planned([*zip(factors, self._labels), *self._weights], [..., 0])
+        return _run(self._path, [*factors, *(w for w, _ in self._weights)])
 
     def value(self, factors) -> np.ndarray:
         """S = sum_j |I_j|^(1/l), one value per leading index."""
         return np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l), axis=-1)
 
-    def block_coeffs(self, vecs, factors, i: int, side: int) -> np.ndarray:
+    def block_coeffs(self, vecs, corrs, factors, i: int, side: int) -> np.ndarray:
         """H with I_j = sum_x H[..., x, j] . U[..., x] for the endpoint rows
         U = vecs[i][side], of shape (..., inputs, k, 3).
 
@@ -356,10 +430,30 @@ class _CrossObjective:
         n = rows.shape[-2]
         ends = list(vecs[i])
         ends[side] = np.eye(3 * n).reshape((3 * n,) + (1,) * (rows.ndim - 2) + (n, 3))
-        unit = self._fold(ends[0] @ self.corrs[i] @ np.swapaxes(ends[1], -1, -2), i)
+        unit = self._fold(ends[0] @ corrs[i] @ ends[1].swapaxes(-1, -2), i)
         cols = self.columns([unit if t == i else f for t, f in enumerate(factors)])
         h = np.moveaxis(cols, 0, -2).reshape(cols.shape[1:-1] + (n, 3, self.k))
-        return np.swapaxes(h, -1, -2)
+        return h.swapaxes(-1, -2)
+
+
+def _own_objective(ineq: NetworkInequality) -> _CrossObjective:
+    """The inequality's objective on its own network, built on first use and
+    kept on the inequality."""
+    if ineq._objective is None:
+        object.__setattr__(ineq, "_objective", _CrossObjective(ineq, ineq.topology))
+    return ineq._objective
+
+
+def _rows(strategy: MeasurementStrategy, keys) -> np.ndarray:
+    """The Bloch rows of the slot keys, one per key; a missing slot raises
+    strategy.bloch's error for the first missing key."""
+    slots = strategy.slots
+    try:
+        return np.array([slots[key].n for key in keys])
+    except KeyError:
+        for key in keys:
+            strategy.bloch(*key)
+        raise
 
 
 # Four labels per source, a row and a column per qubit, planned at once: 52.
@@ -445,10 +539,10 @@ def evaluate_S(
     method: str = "factorized",
 ) -> EvaluationResult:
     """Evaluate all columns and assemble S = sum_j |I_j|^(1/l)."""
-    strategy.validate(ineq.topology, input_counts_for(ineq))
+    obj = _own_objective(ineq)
+    obj.check(strategy)
     if method == "factorized":
-        obj = _CrossObjective(ineq, ineq.topology, states)
-        I = obj.columns(obj.factors(obj.vectors(strategy.bloch)))
+        I = obj.columns(obj.factors(obj.gather(strategy), obj.corrs(states)))
     elif method == "tensor":
         I = np.array([
             column_correlator_tensor(ineq, states, strategy, j)
@@ -528,32 +622,27 @@ def check_conditions(
     sources is rank one (or has a zero column). Condition two: every
     intermediate source contraction reaches its top singular value.
     """
-    strategy.validate(ineq.topology, input_counts_for(ineq))
-    peripheral = sorted(ineq.leaves.peripheral_set)
-    leaf_of = {s: leaf for leaf, s in ineq.leaves.peripheral_map.items()}
-    X = np.zeros((ineq.k, len(peripheral)))
-    for col, s in enumerate(peripheral):
-        leaf = leaf_of[s]
-        m = ineq.fcbi_map[s]
-        rows = [strategy.bloch(leaf, x, s) for x in range(1, m.rows + 1)]
+    obj = _own_objective(ineq)
+    obj.check(strategy)
+    rows = _rows(strategy, obj._condition_keys)
+    X = np.zeros((ineq.k, len(obj._leaf_rows)))
+    for col, (mt, span) in enumerate(obj._leaf_rows):
         # Delta_j = (d_j . sigma) x 1 squares to |d_j|^2 times the identity,
         # so its norm on any state is |d_j|.
-        X[:, col] = np.linalg.norm(m.delta_vectors(rows), axis=1)
+        X[:, col] = np.linalg.norm(mt @ rows[span], axis=1)
     svals = np.linalg.svd(X, compute_uv=False)
     rank1 = bool(svals[0] > 0 and (len(svals) < 2 or svals[1] <= 1e-8 * svals[0]))
-    zero_column = bool(np.any(np.all(X <= 1e-9, axis=0)))
+    zero_column = bool((X <= 1e-9).all(axis=0).any())
 
     residuals = {}
     ok = True
-    for u in ineq.intermediate_sources():
-        a, b = ineq.topology.endpoints(u)
+    for u, first in obj._pair_rows:
         t0 = states[u].t0
+        corr = states[u].corr
         res = np.zeros(ineq.k)
-        for j in range(1, ineq.k + 1):
-            val = float(
-                strategy.bloch(a, j, u) @ states[u].corr @ strategy.bloch(b, j, u)
-            )
-            res[j - 1] = abs(val - t0)
+        for j in range(ineq.k):
+            a, b = rows[first + 2 * j], rows[first + 2 * j + 1]
+            res[j] = abs(float(a @ corr @ b) - t0)
         residuals[u] = res
         ok = ok and bool(np.all(res <= 1e-9))
 

@@ -33,9 +33,11 @@ CUSTOM = "CUSTOM"
 
 # Dimension of the span of the optimal A-side vectors of a catalog map
 # (CHSH has its own closed form); state_max is t0 q when T's top that many
-# singular values agree to the relative tolerance below.
+# singular values agree to the relative tolerance below, and for every map
+# when t0 is at most the package's near-zero threshold.
 _TOP_DIMENSION = {CHAINED: 2, EBI: 3}
 _EQUAL_SPECTRUM_RTOL = 1e-12
+_ZERO_SPECTRUM_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -401,7 +403,10 @@ def state_max(
     t2 = t0. Werner states of |Phi+> are such cases, with state_max = v q.
     There the ceiling t0 q is returned once those singular values agree to
     the relative tolerance _EQUAL_SPECTRUM_RTOL, so it is at most that
-    fraction of t0 q above the maximum.
+    fraction of t0 q above the maximum. It is also returned, for every map,
+    when t0 <= _ZERO_SPECTRUM_ATOL = 1e-14: then T is rounding, as for
+    white noise conjugated by a local unitary, and t0 q lies within 1e-14 q
+    of the maximum, whatever the relative spread of the spectrum.
 
     Every other spectrum and map, custom maps included, gets a numeric
     estimate of max sum_y ||T^T d_y||, which is not certified: the see-saw,
@@ -413,7 +418,9 @@ def state_max(
         t0, t1 = rho.singvals[0], rho.singvals[1]
         return float(np.sqrt(t0 * t0 + t1 * t1))
     t, top = rho.singvals, _TOP_DIMENSION.get(matrix.tag)
-    if top is not None and t[0] - t[top - 1] <= _EQUAL_SPECTRUM_RTOL * t[0]:
+    if t[0] <= _ZERO_SPECTRUM_ATOL or (
+        top is not None and t[0] - t[top - 1] <= _EQUAL_SPECTRUM_RTOL * t[0]
+    ):
         return float(t[0] * matrix.quantum_opt)
     val, _ = _seesaw_value(matrix.entries, rho.corr, restarts, seed)
     return val

@@ -39,7 +39,9 @@ import numpy as np
 
 from .builder import NetworkInequality
 from .errors import TooLargeForExhaustiveError, UnsupportedFcbiError
-from .evaluator import MeasurementStrategy, _CrossObjective, contract, input_counts_for
+from .evaluator import (
+    MeasurementStrategy, _CrossObjective, _own_objective, contract, input_counts_for,
+)
 from .fcbi import (
     CHSH, SIGN_BLOCK_BITS, _normalize_rows, _sphere_ascent, best_of_restarts,
     sign_table,
@@ -113,15 +115,15 @@ def _ends(rows):
     return [rows[i : i + 2] for i in range(0, len(rows), 2)]
 
 
-def _sweep(obj: _CrossObjective, rows):
+def _sweep(obj: _CrossObjective, corrs, rows):
     """Update every endpoint block of the batch in place; returns the new
     values and which restarts had a block with a nonzero H."""
     vecs = _ends(rows)
-    factors = obj.factors(vecs)
+    factors = obj.factors(vecs, corrs)
     moved = np.zeros(len(rows[0]), dtype=bool)
     for i, ends in enumerate(obj.ends):
         for side, party in enumerate(ends):
-            h = obj.block_coeffs(vecs, factors, i, side)
+            h = obj.block_coeffs(vecs, corrs, factors, i, side)
             scale = np.abs(h).max(axis=(1, 2, 3))
             # A restart whose H is all zero has nothing to move here.
             ok = scale > 0.0
@@ -140,15 +142,16 @@ def _sweep(obj: _CrossObjective, rows):
                         u[:, x, None], *_powersum(c, h[:, x], obj.l)
                     )[0][:, 0]
             vecs[i][side][ok] = u
-        factors[i] = obj.factor(vecs, i)
+        factors[i] = obj.factor(vecs, corrs, i)
     return obj.value(factors), moved
 
 
-def _run_restarts(obj: _CrossObjective, restarts: int, seed: int) -> SearchReport:
+def _run_restarts(obj: _CrossObjective, states, restarts: int, seed: int) -> SearchReport:
+    corrs = obj.corrs(states)
     value, rows, history, converged = best_of_restarts(
         lambda rngs: _draw(obj, rngs),
-        lambda rows: obj.value(obj.factors(_ends(rows))),
-        lambda rows: _sweep(obj, rows),
+        lambda rows: obj.value(obj.factors(_ends(rows), corrs)),
+        lambda rows: _sweep(obj, corrs, rows),
         restarts, seed, sweeps=120, tol=1e-11,
     )
     return SearchReport(
@@ -168,7 +171,7 @@ def seesaw_network(
     seed: int = 0,
 ) -> SearchReport:
     """Maximize S over separable strategies on the inequality's own network."""
-    return _run_restarts(_CrossObjective(ineq, ineq.topology, states), restarts, seed)
+    return _run_restarts(_own_objective(ineq), states, restarts, seed)
 
 
 def discriminate(
@@ -191,8 +194,8 @@ def discriminate(
             raise UnsupportedFcbiError(
                 "topology discrimination is defined for the two-input CHSH map"
             )
-    obj = _CrossObjective(ineq_target, topology_source, states)
-    report = _run_restarts(obj, restarts, seed)
+    obj = _CrossObjective(ineq_target, topology_source)
+    report = _run_restarts(obj, states, restarts, seed)
     bound = np.sqrt(2.0)
     if report.best_value > bound + tol:
         verdict = VIOLATED
@@ -212,8 +215,8 @@ def cross_evaluate(
     strategy: MeasurementStrategy,
 ) -> float:
     """Evaluate the target S for an explicit strategy on the host network."""
-    obj = _CrossObjective(ineq_target, topology_source, states)
-    return float(obj.value(obj.factors(obj.vectors(strategy.bloch))))
+    obj = _CrossObjective(ineq_target, topology_source)
+    return float(obj.value(obj.factors(obj.gather(strategy), obj.corrs(states))))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class TwoQubitState:
 def _corr_singvals(corr: np.ndarray) -> np.ndarray:
     # Eigen-decomposition of T^T T with descending sort; ties keep index order.
     vals = np.linalg.eigvalsh(corr.T @ corr)
-    return np.sqrt(np.clip(vals, 0.0, None))[::-1]
+    return np.sqrt(vals.clip(0.0, None))[::-1]
 
 
 def bloch_decompose(matrix) -> TwoQubitState:
@@ -76,11 +76,14 @@ def bloch_decompose(matrix) -> TwoQubitState:
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise NotAStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    adjoint = rho.conj().T
+    if np.abs(rho - adjoint).max() > HERMITICITY_TOL:
         raise NotAStateError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
+    trace = rho.trace()
+    if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
         raise NotAStateError("matrix does not have unit trace")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -PSD_TOL:
+    # eigvalsh sorts ascending: the first eigenvalue is the smallest.
+    if np.linalg.eigvalsh((rho + adjoint) / 2)[0] < -PSD_TOL:
         raise NotAStateError("matrix is not positive semidefinite within tolerance")
 
     # r[u, v] = Tr[rho (sigma_u x sigma_v)]; row and column 0 hold the
@@ -163,8 +166,13 @@ def random_mixed(seed: int) -> TwoQubitState:
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    weights = rng.dirichlet(np.ones(4))
-    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+    # rng.dirichlet(np.ones(4)) without its argument checks: with every
+    # alpha 1 it draws standard_gamma(1), which is standard_exponential, and
+    # multiplies by 1 / (their sum, added in order as cumsum adds them).
+    weights = rng.standard_exponential(4)
+    weights *= 1.0 / weights.cumsum()[-1]
+    # sum_i w_i |v_i><v_i|; a sum over the outer axis adds the terms in order.
+    rho = (weights[:, None, None] * (vecs[:, :, None] * vecs.conj()[:, None, :])).sum(axis=0)
     rho = (rho + rho.conj().T) / 2
-    rho /= np.trace(rho).real
+    rho /= rho.trace().real
     return bloch_decompose(rho)

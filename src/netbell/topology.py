@@ -8,6 +8,7 @@ to a leaf is called peripheral.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -89,14 +90,17 @@ class LeafAnalysis:
     def l(self) -> int:  # noqa: E743 - matches the standard leaf-count symbol
         return int(self.leaf_set.size)
 
-    @property
+    # Built on first access and shared by every later one, so callers must
+    # not mutate them; a 10^6-party analysis that never reads them builds
+    # neither.
+    @functools.cached_property
     def peripheral_map(self) -> dict[int, int]:
         """leaf party -> its unique incident source index."""
         return dict(zip(self.leaf_set.tolist(), self.peripheral_sources.tolist()))
 
-    @property
-    def peripheral_set(self) -> set[int]:
-        return {int(s) for s in self.peripheral_sources}
+    @functools.cached_property
+    def peripheral_set(self) -> frozenset[int]:
+        return frozenset(self.peripheral_sources.tolist())
 
 
 _BOOL_TYPES = frozenset((bool, np.bool_))

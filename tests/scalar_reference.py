@@ -26,6 +26,29 @@ def correlator(topology, states, strategy, x):
     return value
 
 
+def reference_columns(ineq, host, states, strategy):
+    """Each I_j of the target inequality ineq as the sum of host correlators
+    over the Delta-weighted leaf inputs."""
+    leaves = [int(p) for p in ineq.leaves.leaf_set]
+    matrices = [ineq.leaf_fcbi(p).entries for p in leaves]
+    columns = np.zeros(ineq.k)
+    for j in range(ineq.k):
+        for combo in product(*[range(m.shape[0]) for m in matrices]):
+            x = {int(p): j + 1 for p in ineq.leaves.intermediate_set}
+            coeff = 1.0
+            for leaf, m, c in zip(leaves, matrices, combo):
+                coeff *= m[c, j]
+                x[leaf] = c + 1
+            columns[j] += coeff * correlator(host, states, strategy, x)
+    return columns
+
+
+def reference_S(ineq, host, states, strategy):
+    """S = sum_j |I_j|^(1/l) of the reference columns."""
+    columns = reference_columns(ineq, host, states, strategy)
+    return float(np.sum(np.abs(columns) ** (1.0 / ineq.l)))
+
+
 def local_model_S(ineq, model):
     """S of a local model, one hidden-variable tuple and one column at a time."""
     counts = {int(p): ineq.k for p in ineq.leaves.intermediate_set}
@@ -162,17 +185,17 @@ def bipartite(m, corr):
     return f
 
 
-def seesaw_restart(obj, vecs, sweeps=120, tol=1e-11):
-    """One network see-saw restart from the endpoint rows vecs[i][side],
-    updated in place, one block and one leaf input at a time. Returns its
-    value."""
-    factors = obj.factors(vecs)
+def seesaw_restart(obj, corrs, vecs, sweeps=120, tol=1e-11):
+    """One network see-saw restart on the correlation matrices corrs from
+    the endpoint rows vecs[i][side], updated in place, one block and one
+    leaf input at a time. Returns its value."""
+    factors = obj.factors(vecs, corrs)
     value = float(obj.value(factors))
     for _ in range(sweeps):
         for i, ends in enumerate(obj.ends):
             for side, party in enumerate(ends):
                 rows = vecs[i][side]
-                h = obj.block_coeffs(vecs, factors, i, side)
+                h = obj.block_coeffs(vecs, corrs, factors, i, side)
                 if np.abs(h).max() == 0.0:
                     continue
                 h = h / np.abs(h).max()
@@ -184,7 +207,7 @@ def seesaw_restart(obj, vecs, sweeps=120, tol=1e-11):
                     else:
                         c = np.einsum("yjc,yc->j", h, rows) - h[x] @ rows[x]
                         rows[x] = max_abs_powersum(c, h[x], obj.l, rows[x])
-                factors[i] = obj.factor(vecs, i)
+                factors[i] = obj.factor(vecs, corrs, i)
         new_value = float(obj.value(factors))
         if new_value - value < tol:
             return max(value, new_value)

@@ -200,6 +200,28 @@ def test_missing_states_is_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_incomplete_strategy_is_exit_2(tmp_path):
+    """An explicit strategy on bilocal_chain without slot (1, 1, 1) exits 2
+    with one JSON line naming the error and the missing slot."""
+    config = json.loads((CONFIG_DIR / "bilocal_chain.json").read_text())
+    config["strategy"] = {
+        str(p): {str(x): {str(s): [0.0, 0.0, 1.0] for s in sources} for x in (1, 2)}
+        for p, sources in ((1, [1]), (2, [1, 2]), (3, [2]))
+    }
+    del config["strategy"]["1"]["1"]
+    path = tmp_path / "missing_slot.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("eval", str(path))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert strict_json(lines[0]) == {
+        "error": "IncompleteStrategyError",
+        "message": "missing observable for party 1, input 1, source 1",
+    }
+    assert proc.stdout == ""
+
+
 def test_bounds_on_a_slow_mixed_state(tmp_path):
     """EBI on random_mixed(4) at source 1 of six_party_asymmetric: the
     see-saw alone stalls at 4.72566596071 in every restart, and `bounds`

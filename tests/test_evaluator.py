@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from netbell.qstate import (
     werner,
 )
 from netbell.topology import build_topology, find_leaves
-from scalar_reference import correlator
+from scalar_reference import correlator, reference_S
 
 
 def test_observable_validation():
@@ -70,10 +71,15 @@ def test_classical_intermediates_keep_optimum(six_party_ineq):
 
 
 def test_missing_slot_raises(six_party_ineq, phi_plus_states):
-    strategy = optimal_strategy(six_party_ineq, phi_plus_states)
-    del strategy.slots[(1, 1, 1)]
-    with pytest.raises(IncompleteStrategyError):
-        evaluate_S(six_party_ineq, phi_plus_states, strategy)
+    """evaluate_S and check_conditions name the one missing slot, a leaf's or
+    an intermediate party's, in MeasurementStrategy.validate's words."""
+    for slot in [(1, 1, 1), (2, 2, 1), (4, 1, 4), (6, 2, 6)]:
+        strategy = optimal_strategy(six_party_ineq, phi_plus_states)
+        del strategy.slots[slot]
+        message = "^missing observable for party {}, input {}, source {}$".format(*slot)
+        for evaluate in (evaluate_S, check_conditions):
+            with pytest.raises(IncompleteStrategyError, match=message):
+                evaluate(six_party_ineq, phi_plus_states, strategy)
 
 
 def test_factorized_vs_tensor_column(six_party_ineq, phi_plus_states):
@@ -289,3 +295,78 @@ def test_seesaw_many_leaf_star():
         states = {s: max_entangled() for s in range(1, leaves + 1)}
         rep = seesaw_network(_star(leaves), states, restarts=1, seed=0)
         assert np.sqrt(2.0) - 1e-11 <= rep.best_value <= np.sqrt(2.0) + 1e-9, leaves
+
+
+# -- structure kept on the inequality -------------------------------------------
+
+
+def _numbers(ineq, states, strategy) -> tuple:
+    """Every number evaluate_S and check_conditions return, as bytes."""
+    result = evaluate_S(ineq, states, strategy)
+    rep = check_conditions(ineq, states, strategy)
+    residuals = [(u, r.tobytes()) for u, r in sorted(rep.intermediate_residuals.items())]
+    return (
+        result.I.tobytes(), np.float64(result.S).tobytes(), rep.X.tobytes(),
+        rep.x_singvals.tobytes(), residuals, rep.saturated,
+    )
+
+
+def test_reused_structure_matches_a_fresh_inequality(six_party):
+    """CHSH and chained-3 on six_party, each evaluated on two state sets and
+    two strategies in turn, give bit for bit what a new inequality with the
+    same fields gives: what an inequality keeps holds no state. The new
+    inequalities alternate between the two maps, each dropped just before
+    the next is made, so a cache keyed by object id would hand one the
+    other's structure."""
+    rng = np.random.default_rng(24)
+    ineqs = [
+        chsh_inequality(six_party),
+        build_inequality(six_party, 3, dict.fromkeys((1, 3, 5), make_catalog(CHAINED, 3))),
+    ]
+    state_sets = [
+        {s: random_mixed(int(rng.integers(0, 2**31))) for s in range(1, 7)} for _ in range(2)
+    ]
+    strategies = [[_random_strategy(ineq, rng) for _ in range(2)] for ineq in ineqs]
+    for a, b in [(0, 0), (1, 1), (0, 1), (1, 0), (0, 0)]:
+        cases = [(ineq, state_sets[a], pair[b]) for ineq, pair in zip(ineqs, strategies)]
+        kept = [_numbers(ineq, states, strategy) for ineq, states, strategy in cases]
+        new = [_numbers(replace(ineq), states, strategy) for ineq, states, strategy in cases]
+        assert kept == new
+
+
+def test_dropped_inequalities_do_not_leak_structure():
+    """200 inequalities on generated networks, each built, evaluated on two
+    state sets and dropped: every S equals the scalar reference, so nothing
+    kept for one inequality reaches the next."""
+    rng = np.random.default_rng(240)
+    for _ in range(200):
+        ineq = _random_network(int(rng.integers(3, 7)), rng)
+        m = ineq.topology.n_sources
+        strategy = _random_strategy(ineq, rng)
+        for _ in range(2):
+            states = {s: random_mixed(int(rng.integers(0, 2**31))) for s in range(1, m + 1)}
+            assert evaluate_S(ineq, states, strategy).S == pytest.approx(
+                reference_S(ineq, ineq.topology, states, strategy), rel=1e-12, abs=1e-15
+            )
+        del ineq
+
+
+def test_states_enter_per_call():
+    """After evaluations on states A, evaluate_S and check_conditions on
+    states B give what a new inequality with the same fields gives on B, on
+    chains of 3 to 6 parties. The new inequalities are made one after the
+    other, each dropped just before the next, so a cache keyed by object id
+    would hand one the structure of a shorter chain."""
+    rng = np.random.default_rng(24)
+    ineqs = [chsh_inequality(chain_topology(n)) for n in (3, 4, 5, 6)]
+    cases = []
+    for ineq in ineqs:
+        strategy = _random_strategy(ineq, rng)
+        sources = range(1, ineq.topology.n_sources + 1)
+        a, b = ({s: random_mixed(int(rng.integers(0, 2**31))) for s in sources} for _ in range(2))
+        for _ in range(2):
+            evaluate_S(ineq, a, strategy)
+            check_conditions(ineq, a, strategy)
+        cases.append((ineq, b, strategy))
+    new = [_numbers(replace(ineq), b, strategy) for ineq, b, strategy in cases]
+    assert [_numbers(ineq, b, strategy) for ineq, b, strategy in cases] == new

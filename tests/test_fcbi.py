@@ -382,14 +382,16 @@ def test_state_max_leaves_the_chained24_plateaus():
     assert state_max(_chained(24), random_mixed(5)) >= 13.88713 - 1e-6
 
 
+def _haar(rng):
+    """A Haar-random 2x2 unitary."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _rotated_werner(v, rng):
     """v |psi><psi| + (1 - v) 1/4 with |psi> = (U x V)|Phi+> for Haar-random
     U and V: T is rotated, its spectrum is v's, and at v = 0 it is 0."""
-    def haar():
-        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    psi = np.kron(haar(), haar()) @ np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    psi = np.kron(_haar(rng), _haar(rng)) @ np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return bloch_decompose(v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(4) / 4.0)
 
 
@@ -399,6 +401,48 @@ def _bell_diagonal(p, s, a):
     bell = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]])
     bell /= np.sqrt(2.0)
     return bloch_decompose(sum(w * np.outer(b, b) for w, b in zip((p, s, a), bell)))
+
+
+class _SeesawRan(Exception):
+    """Raised in place of the see-saw where a test patches it out."""
+
+
+def _no_seesaw(*args):
+    raise _SeesawRan
+
+
+@pytest.mark.parametrize(
+    "m", [make_catalog(CHAINED, 2), make_catalog(CHAINED, 3), make_catalog(EBI)],
+    ids=["chained2", "chained3", "ebi"],
+)
+def test_state_max_closed_form_on_rotated_white_noise(monkeypatch, m):
+    """I/4 conjugated by a Haar-random U x V has a T of rounding alone,
+    singular values near 1e-17 that differ by far more than the relative
+    tolerance. t0 is below the absolute floor 1e-14, so state_max is t0 q
+    without the see-saw."""
+    monkeypatch.setattr(fcbi, "_seesaw_value", _no_seesaw)
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        w = np.kron(_haar(rng), _haar(rng))
+        rho = bloch_decompose(w @ (np.eye(4) / 4.0) @ w.conj().T)
+        t = rho.singvals
+        assert 0.0 < t[0] <= 1e-14
+        assert t[0] - t[1] > 1e-12 * t[0]
+        assert state_max(m, rho) == t[0] * m.quantum_opt
+
+
+def test_state_max_floor_is_absolute(monkeypatch):
+    """A Bell-diagonal T = diag(2e-14, 1e-14, 0) has t0 above the floor and
+    unequal top values, so chained-3 and EBI still take the see-saw."""
+    monkeypatch.setattr(fcbi, "_seesaw_value", _no_seesaw)
+    c = (2e-14, 1e-14, 0.0)
+    rho = bloch_decompose(
+        (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, SIGMA))) / 4.0
+    )
+    np.testing.assert_allclose(rho.singvals, c, rtol=0, atol=1e-16)
+    for m in (make_catalog(CHAINED, 3), make_catalog(EBI)):
+        with pytest.raises(_SeesawRan):
+            state_max(m, rho)
 
 
 @pytest.mark.parametrize(

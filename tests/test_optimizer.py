@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -57,7 +57,9 @@ from netbell.optimizer import (
 )
 from netbell.qstate import WernerSpec, max_entangled, random_mixed, werner
 from netbell.topology import build_topology, find_leaves
-from scalar_reference import correlator, local_model_S, max_abs_powersum, seesaw_restart
+from scalar_reference import (
+    local_model_S, max_abs_powersum, reference_columns, reference_S, seesaw_restart,
+)
 
 
 @pytest.fixture(scope="module")
@@ -227,27 +229,6 @@ def _random_strategy(ineq, host, rng):
     return strategy
 
 
-def _reference_columns(ineq, host, states, strategy):
-    """Each I_j as the sum of host correlators over the Delta-weighted leaf inputs."""
-    leaves = [int(p) for p in ineq.leaves.leaf_set]
-    matrices = [ineq.leaf_fcbi(p).entries for p in leaves]
-    columns = np.zeros(ineq.k)
-    for j in range(ineq.k):
-        for combo in product(*[range(m.shape[0]) for m in matrices]):
-            x = {int(p): j + 1 for p in ineq.leaves.intermediate_set}
-            coeff = 1.0
-            for leaf, m, c in zip(leaves, matrices, combo):
-                coeff *= m[c, j]
-                x[leaf] = c + 1
-            columns[j] += coeff * correlator(host, states, strategy, x)
-    return columns
-
-
-def _reference_S(ineq, host, states, strategy):
-    columns = _reference_columns(ineq, host, states, strategy)
-    return float(np.sum(np.abs(columns) ** (1.0 / ineq.l)))
-
-
 def _case(name):
     if name == "tree5_on_chain5":
         return chsh_inequality(tree5_topology()), chain_topology(5)
@@ -268,7 +249,7 @@ def test_cross_evaluate_matches_correlator_sum(name):
     for _ in range(3):
         strategy = _random_strategy(ineq, host, rng)
         assert cross_evaluate(ineq, host, states, strategy) == pytest.approx(
-            _reference_S(ineq, host, states, strategy), abs=1e-12
+            reference_S(ineq, host, states, strategy), abs=1e-12
         )
 
 
@@ -303,7 +284,7 @@ def test_cross_evaluate_random_trees(n, k, host_cycle, seed):
     states = {s: random_mixed(int(rng.integers(1000))) for s in range(1, host.n_sources + 1)}
     strategy = _random_strategy(ineq, host, rng)
     assert cross_evaluate(ineq, host, states, strategy) == pytest.approx(
-        _reference_S(ineq, host, states, strategy), abs=1e-12
+        reference_S(ineq, host, states, strategy), abs=1e-12
     )
 
 
@@ -319,19 +300,20 @@ def test_block_coeffs_reproduce_columns(name):
     ineq, host = _case(name)
     rng = np.random.default_rng(5)
     states = {s: random_mixed(20 + s) for s in range(1, host.n_sources + 1)}
-    obj = _CrossObjective(ineq, host, states)
+    obj = _CrossObjective(ineq, host)
+    corrs = obj.corrs(states)
     batch = _starts(obj, np.random.SeedSequence(5).spawn(3))
     for i in range(len(obj.ends)):
         for side in (0, 1):
-            h_batch = obj.block_coeffs(batch, obj.factors(batch), i, side)
+            h_batch = obj.block_coeffs(batch, corrs, obj.factors(batch, corrs), i, side)
             for b in range(3):
                 vecs = [[rows[b].copy() for rows in ends] for ends in batch]
-                h = obj.block_coeffs(vecs, obj.factors(vecs), i, side)
+                h = obj.block_coeffs(vecs, corrs, obj.factors(vecs, corrs), i, side)
                 np.testing.assert_allclose(h_batch[b], h, rtol=0, atol=1e-15)
             for _ in range(2):
                 rows = rng.normal(size=vecs[i][side].shape)
                 vecs[i][side] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-                expected = _reference_columns(ineq, host, states, obj.strategy(vecs))
+                expected = reference_columns(ineq, host, states, obj.strategy(vecs))
                 np.testing.assert_allclose(
                     np.einsum("xjc,xc->j", h, vecs[i][side]), expected, rtol=0, atol=1e-12
                 )
@@ -686,13 +668,13 @@ def _starts(obj, seeds):
     return _ends(_draw(obj, [np.random.default_rng(child) for child in seeds]))
 
 
-def _seesaw(obj, vecs, sweeps=120):
+def _seesaw(obj, corrs, vecs, sweeps=120):
     """The sweeps of `_run_restarts` on the batch vecs, in place."""
     rows = [r for ends in vecs for r in ends]
     return _ascend(
         rows,
-        lambda r: obj.value(obj.factors(_ends(r))),
-        lambda r: _sweep(obj, r),
+        lambda r: obj.value(obj.factors(_ends(r), corrs)),
+        lambda r: _sweep(obj, corrs, r),
         sweeps,
         1e-11,
     )
@@ -715,14 +697,15 @@ def test_restarts_are_independent(name):
     tree5 target gives the chain5 host leaves with their own einsum index;
     six_party_asymmetric mixes 3- and 4-input leaves."""
     ineq, host, states = _search_case(name)
-    obj = _CrossObjective(ineq, host, states)
+    obj = _CrossObjective(ineq, host)
+    corrs = obj.corrs(states)
     seeds = np.random.SeedSequence(11).spawn(4)
-    history = _run_restarts(obj, 4, 11).history
+    history = _run_restarts(obj, states, 4, 11).history
     for child, value in zip(seeds, history):
-        alone, _ = _seesaw(obj, _starts(obj, [child]))
+        alone, _ = _seesaw(obj, corrs, _starts(obj, [child]))
         assert value == pytest.approx(alone[0], abs=1e-12)
         rows = [[r[0] for r in ends] for ends in _starts(obj, [child])]
-        assert value == pytest.approx(seesaw_restart(obj, rows), abs=1e-9)
+        assert value == pytest.approx(seesaw_restart(obj, corrs, rows), abs=1e-9)
 
 
 def test_stopped_restart_keeps_its_rows():
@@ -730,22 +713,23 @@ def test_stopped_restart_keeps_its_rows():
     15 and 20: those that stopped by sweep 16 keep their rows, and the value
     they report, while the others sweep on."""
     ineq, host, states = _search_case("bilocal_chain")
-    obj = _CrossObjective(ineq, host, states)
+    obj = _CrossObjective(ineq, host)
+    corrs = obj.corrs(states)
     seeds = np.random.SeedSequence(0).spawn(6)
-    _, early = _seesaw(obj, _starts(obj, seeds), sweeps=16)
+    _, early = _seesaw(obj, corrs, _starts(obj, seeds), sweeps=16)
     assert early.any() and not early.all()
     vecs = _starts(obj, seeds)
-    value, converged = _seesaw(obj, vecs)
+    value, converged = _seesaw(obj, corrs, vecs)
     assert converged.all()
     for r in np.flatnonzero(early):
         alone = _starts(obj, [seeds[r]])
-        alone_value, _ = _seesaw(obj, alone)
+        alone_value, _ = _seesaw(obj, corrs, alone)
         assert value[r] == pytest.approx(alone_value[0], abs=1e-12)
         for ends, alone_ends in zip(vecs, alone):
             for rows, alone_rows in zip(ends, alone_ends):
                 np.testing.assert_allclose(rows[r], alone_rows[0], rtol=0, atol=1e-12)
         rows_r = [[rows[r] for rows in ends] for ends in vecs]
-        assert obj.value(obj.factors(rows_r)) == pytest.approx(value[r], abs=1e-12)
+        assert obj.value(obj.factors(rows_r, corrs)) == pytest.approx(value[r], abs=1e-12)
 
 
 def test_restart_chunks_do_not_change_the_search(monkeypatch):

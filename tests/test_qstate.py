@@ -74,16 +74,19 @@ def test_decompose_matches_traces(seed):
 
 
 def test_rejects_non_states():
-    with pytest.raises(NotAStateError):
+    """Each of bloch_decompose's four checks names what failed."""
+    with pytest.raises(NotAStateError, match=r"^expected a 4x4 matrix, got shape \(3, 3\)$"):
         bloch_decompose(np.eye(3))
-    with pytest.raises(NotAStateError):
+    with pytest.raises(NotAStateError, match="^matrix does not have unit trace$"):
         bloch_decompose(np.eye(4))  # trace 4
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(NotAStateError):
+    with pytest.raises(
+        NotAStateError, match="^matrix is not positive semidefinite within tolerance$"
+    ):
         bloch_decompose(bad)
     herm = np.eye(4, dtype=complex) / 4
     herm[0, 1] = 1j  # not Hermitian
-    with pytest.raises(NotAStateError):
+    with pytest.raises(NotAStateError, match="^matrix is not Hermitian within tolerance$"):
         bloch_decompose(herm)
 
 
