@@ -20,9 +20,8 @@ per call.
 `evaluate_S(method="tensor")` is the independent oracle for up to
 MAX_ORACLE_SOURCES = 13 sources. One contraction traces the 4x4 source
 density matrices against the party operators, each leaf measuring its Delta
-operator, without forming either tensor product; it also accepts joint
-(possibly entangled) party observables. It reads density matrices and
-operators only, none of the Bloch data the engine contracts.
+operator, without forming either tensor product. It reads density matrices
+and operators only, none of the Bloch data the engine contracts.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class QubitObservable:
         n = np.asarray(self.n, dtype=float)
         if n.shape != (3,):
             raise ValueError("Bloch vector must have three components")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN and inf fail too
             raise ValueError("Bloch vector must have unit norm")
         object.__setattr__(self, "n", n)
 
@@ -72,23 +71,15 @@ class QubitObservable:
 
 
 SIGMA_X = QubitObservable(np.array([1.0, 0.0, 0.0]))
-SIGMA_Y = QubitObservable(np.array([0.0, 1.0, 0.0]))
 SIGMA_Z = QubitObservable(np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass
 class MeasurementStrategy:
-    """Per (party, input, incident source) qubit observables.
-
-    slots maps (party, input, source) -> QubitObservable. For research use
-    the operator-level oracle also honors joint_observables, mapping
-    (party, input) -> an explicit Hermitian +/-1-eigenvalue matrix on all of
-    that party's qubits (ordered by ascending source index); parties with a
-    joint override must not appear in slots.
-    """
+    """Per (party, input, incident source) qubit observables: slots maps
+    (party, input, source) -> QubitObservable."""
 
     slots: dict[tuple[int, int, int], QubitObservable] = field(default_factory=dict)
-    joint_observables: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def bloch(self, party: int, inp: int, source: int) -> np.ndarray:
         try:
@@ -102,20 +93,6 @@ class MeasurementStrategy:
         if not isinstance(obs, QubitObservable):
             obs = QubitObservable.from_direction(obs)
         self.slots[(party, inp, source)] = obs
-
-    def validate(self, topology: NetworkTopology, input_counts: dict[int, int]) -> None:
-        """Check every (party, input, incident source) slot is present."""
-        joint_parties = {party for party, _ in self.joint_observables}
-        for party in range(1, topology.n_parties + 1):
-            if party in joint_parties:
-                continue
-            for inp in range(1, input_counts[party] + 1):
-                for source in topology.incident_sources(party):
-                    if (party, inp, source) not in self.slots:
-                        raise IncompleteStrategyError(
-                            f"missing observable for party {party}, "
-                            f"input {inp}, source {source}"
-                        )
 
 
 @dataclass(frozen=True)
@@ -295,7 +272,6 @@ class _CrossObjective:
             )
         self.k = target.k
         self.l = target.l
-        self.host = host
         self.intermediate = set(target.leaves.intermediate_set.tolist())
         peripheral = target.leaves.peripheral_map
         # Input count per party in the host strategy space: FCBI rows for
@@ -359,11 +335,13 @@ class _CrossObjective:
         return [states[s].corr for s in range(1, len(self.ends) + 1)]
 
     def check(self, strategy: MeasurementStrategy) -> None:
-        """strategy.validate on the host: one set comparison when no party
-        has a joint observable and no slot is missing, else validate itself,
-        which skips those parties and names the first missing slot."""
-        if strategy.joint_observables or not strategy.slots.keys() >= self._slot_set:
-            strategy.validate(self.host, self.input_counts)
+        """Raise IncompleteStrategyError unless the strategy has every slot
+        of the host, naming the first missing (party, input, source)."""
+        if not strategy.slots.keys() >= self._slot_set:
+            p, x, s = min(self._slot_set - strategy.slots.keys())
+            raise IncompleteStrategyError(
+                f"missing observable for party {p}, input {x}, source {s}"
+            )
 
     def vectors(self, row) -> list[list[np.ndarray]]:
         """Endpoint arrays with row(party, input, source) filled in slot-key order."""
@@ -445,15 +423,9 @@ def _own_objective(ineq: NetworkInequality) -> _CrossObjective:
 
 
 def _rows(strategy: MeasurementStrategy, keys) -> np.ndarray:
-    """The Bloch rows of the slot keys, one per key; a missing slot raises
-    strategy.bloch's error for the first missing key."""
+    """The Bloch rows of the slot keys, one per key; `check` has found them all."""
     slots = strategy.slots
-    try:
-        return np.array([slots[key].n for key in keys])
-    except KeyError:
-        for key in keys:
-            strategy.bloch(*key)
-        raise
+    return np.array([slots[key].n for key in keys])
 
 
 # Four labels per source, a row and a column per qubit, planned at once: 52.
@@ -462,53 +434,10 @@ MAX_ORACLE_SOURCES = 13
 
 def _party_operator(topology, strategy, party: int, inp: int) -> np.ndarray:
     """The party's operator for one input, on its qubits in ascending source order."""
-    sources = topology.incident_sources(party)
-    if (party, inp) in strategy.joint_observables:
-        op = np.asarray(strategy.joint_observables[(party, inp)], dtype=complex)
-        if op.shape != (2 ** len(sources), 2 ** len(sources)):
-            raise IncompleteStrategyError(
-                f"joint observable for party {party} has wrong dimension"
-            )
-        return op
     op = np.array([[1.0 + 0j]])
-    for s in sources:
+    for s in topology.incident_sources(party):
         op = np.kron(op, bloch_matrix(strategy.bloch(party, inp, s)))
     return op
-
-
-def _network_trace(topology, states, operator) -> float:
-    """Tr[(rho_1 x ... x rho_M)(O_1 x ... x O_N)] as one contraction, O_p = operator(p).
-    Qubit q = 2(s - 1) + side of source s (side 0 is its first party) has row
-    index 2q and column index 2q + 1; operator rows meet state columns."""
-    m = topology.n_sources
-    if m > MAX_ORACLE_SOURCES:
-        raise TooLargeForExhaustiveError(
-            f"{m} sources exceed the operator-level oracle's limit of "
-            f"{MAX_ORACLE_SOURCES}"
-        )
-    operands = []
-    for s in range(1, m + 1):
-        r = 4 * (s - 1)
-        operands.append((states[s].matrix.reshape(2, 2, 2, 2), [r, r + 2, r + 1, r + 3]))
-    for party in range(1, topology.n_parties + 1):
-        sources = topology.incident_sources(party)
-        qubits = [2 * s - 2 + (topology.endpoints(s)[0] != party) for s in sources]
-        op = operator(party).reshape((2,) * (2 * len(qubits)))
-        operands.append((op, [2 * q + 1 for q in qubits] + [2 * q for q in qubits]))
-    return float(contract(operands, []).real)
-
-
-def correlator_full_tensor(
-    topology: NetworkTopology,
-    states: dict[int, TwoQubitState],
-    strategy: MeasurementStrategy,
-    x: dict[int, int],
-) -> float:
-    """Operator-level correlator of one input assignment (oracle); supports
-    joint party observables and up to MAX_ORACLE_SOURCES sources."""
-    return _network_trace(
-        topology, states, lambda p: _party_operator(topology, strategy, p, x[p])
-    )
 
 
 def column_correlator_tensor(
@@ -518,17 +447,33 @@ def column_correlator_tensor(
     j: int,
 ) -> float:
     """I_j as one trace (oracle): by linearity each leaf measures its Delta
-    operator sum_x M[x, j] A_x and each intermediate party measures input j."""
+    operator sum_x M[x, j] A_x and each intermediate party measures input j.
+
+    Tr[(rho_1 x ... x rho_M)(O_1 x ... x O_N)] is one contraction. Qubit
+    q = 2(s - 1) + side of source s (side 0 is its first party) has row
+    index 2q and column index 2q + 1; operator rows meet state columns."""
     topo, leaves = ineq.topology, ineq.leaves.peripheral_map
-
-    def operator(p: int) -> np.ndarray:
-        if p not in leaves:
-            return _party_operator(topo, strategy, p, j)
-        m = ineq.leaf_fcbi(p)
-        ops = [_party_operator(topo, strategy, p, x) for x in range(1, m.rows + 1)]
-        return np.tensordot(m.entries[:, j - 1], ops, axes=1)
-
-    return _network_trace(topo, states, operator)
+    m = topo.n_sources
+    if m > MAX_ORACLE_SOURCES:
+        raise TooLargeForExhaustiveError(
+            f"{m} sources exceed the operator-level oracle's limit of "
+            f"{MAX_ORACLE_SOURCES}"
+        )
+    operands = []
+    for s in range(1, m + 1):
+        r = 4 * (s - 1)
+        operands.append((states[s].matrix.reshape(2, 2, 2, 2), [r, r + 2, r + 1, r + 3]))
+    for p in range(1, topo.n_parties + 1):
+        if p in leaves:
+            fcbi = ineq.leaf_fcbi(p)
+            ops = [_party_operator(topo, strategy, p, x) for x in range(1, fcbi.rows + 1)]
+            op = np.tensordot(fcbi.entries[:, j - 1], ops, axes=1)
+        else:
+            op = _party_operator(topo, strategy, p, j)
+        qubits = [2 * s - 2 + (topo.endpoints(s)[0] != p) for s in topo.incident_sources(p)]
+        op = op.reshape((2,) * (2 * len(qubits)))
+        operands.append((op, [2 * q + 1 for q in qubits] + [2 * q for q in qubits]))
+    return float(contract(operands, []).real)
 
 
 def evaluate_S(

@@ -216,6 +216,7 @@ def cross_evaluate(
 ) -> float:
     """Evaluate the target S for an explicit strategy on the host network."""
     obj = _CrossObjective(ineq_target, topology_source)
+    obj.check(strategy)
     return float(obj.value(obj.factors(obj.gather(strategy), obj.corrs(states))))
 
 

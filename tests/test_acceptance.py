@@ -17,14 +17,15 @@ from netbell.analysis import critical_visibility_uniform, mahler_check
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.evaluator import (
     MeasurementStrategy,
-    correlator_full_tensor,
     evaluate_S,
     optimal_strategy,
 )
 from netbell.fcbi import (
     CHAINED,
     CHSH,
+    CUSTOM,
     EBI,
+    CoefficientMatrix,
     classical_bound,
     custom_matrix,
     make_catalog,
@@ -191,6 +192,10 @@ def test_criterion_06_oracle_soundness():
 
 
 def test_criterion_07_factorized_vs_tensor():
+    """The factorized correlator of every party measuring input 1 against
+    the operator-level oracle: with k = 1 and the 1x1 map M = [[1]] on every
+    peripheral source, that correlator is the oracle's I_1."""
+    one = CoefficientMatrix(np.ones((1, 1)), CUSTOM, 1.0, 1.0)
     topologies = [
         chain_topology(3),
         chain_topology(4),
@@ -198,10 +203,15 @@ def test_criterion_07_factorized_vs_tensor():
         tree5_topology(),
         chain_topology(5),
     ]
+    inequalities = [
+        build_inequality(topo, 1, dict.fromkeys(find_leaves(topo).peripheral_set, one))
+        for topo in topologies
+    ]
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(1000):
-        topo = topologies[trial % len(topologies)]
+        ineq = inequalities[trial % len(inequalities)]
+        topo = ineq.topology
         states = {
             s: random_mixed(int(rng.integers(0, 2**31)))
             for s in range(1, topo.n_sources + 1)
@@ -214,7 +224,7 @@ def test_criterion_07_factorized_vs_tensor():
                 vec = rng.normal(size=3)
                 strategy.set(party, 1, source, vec / np.linalg.norm(vec))
         fac = correlator(topo, states, strategy, x)
-        ten = correlator_full_tensor(topo, states, strategy, x)
+        ten = evaluate_S(ineq, states, strategy, method="tensor").I[0]
         worst = max(worst, abs(fac - ten))
     assert worst < 1e-10
     _ok("criterion 7", f"10^3 instances, worst |factorized - tensor| = {worst:.2e}")

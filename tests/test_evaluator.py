@@ -12,18 +12,16 @@ from netbell.errors import (
 )
 from netbell.evaluator import (
     SIGMA_X,
-    SIGMA_Z,
     MeasurementStrategy,
     QubitObservable,
     check_conditions,
-    correlator_full_tensor,
     evaluate_S,
     input_counts_for,
     optimal_strategy,
 )
 from netbell.fcbi import CHAINED, CHSH, custom_matrix, make_catalog
 from netbell.networks import chain_topology, chsh_inequality
-from netbell.optimizer import seesaw_network
+from netbell.optimizer import cross_evaluate, seesaw_network
 from netbell.qstate import (
     WernerSpec,
     classical_zz,
@@ -38,6 +36,18 @@ from scalar_reference import correlator, reference_S
 def test_observable_validation():
     with pytest.raises(ValueError):
         QubitObservable(np.array([1.0, 1.0, 0.0]))
+    # A non-finite direction normalizes to NaN components (inf / inf warns).
+    unit = "^Bloch vector must have unit norm$"
+    strategy = MeasurementStrategy()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=unit):
+            QubitObservable(np.array([bad, 0.0, 0.0]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=unit):
+                QubitObservable.from_direction([bad, 0.0, 0.0])
+            with pytest.raises(ValueError, match=unit):
+                strategy.set(1, 1, 1, [bad, 0.0, 0.0])
+    assert strategy.slots == {}
     obs = QubitObservable.from_direction([2.0, 0.0, 0.0])
     np.testing.assert_allclose(obs.n, [1.0, 0.0, 0.0])
     np.testing.assert_allclose(obs.matrix, [[0, 1], [1, 0]])
@@ -71,13 +81,22 @@ def test_classical_intermediates_keep_optimum(six_party_ineq):
 
 
 def test_missing_slot_raises(six_party_ineq, phi_plus_states):
-    """evaluate_S and check_conditions name the one missing slot, a leaf's or
-    an intermediate party's, in MeasurementStrategy.validate's words."""
-    for slot in [(1, 1, 1), (2, 2, 1), (4, 1, 4), (6, 2, 6)]:
+    """Every evaluation of a strategy names its missing slot, a leaf's or an
+    intermediate party's; of several, the first in (party, input, source)
+    order. Slots (2, 1, 6) and (4, 2, 2): the engine reads source 2 first."""
+    callers = (
+        evaluate_S,
+        check_conditions,
+        lambda ineq, states, strategy: evaluate_S(ineq, states, strategy, method="tensor"),
+        lambda ineq, states, strategy: cross_evaluate(ineq, ineq.topology, states, strategy),
+    )
+    cases = [[(1, 1, 1)], [(2, 2, 1)], [(4, 1, 4)], [(6, 2, 6)], [(4, 2, 2), (2, 1, 6)]]
+    for slots in cases:
         strategy = optimal_strategy(six_party_ineq, phi_plus_states)
-        del strategy.slots[slot]
-        message = "^missing observable for party {}, input {}, source {}$".format(*slot)
-        for evaluate in (evaluate_S, check_conditions):
+        for slot in slots:
+            del strategy.slots[slot]
+        message = "^missing observable for party {}, input {}, source {}$".format(*min(slots))
+        for evaluate in callers:
             with pytest.raises(IncompleteStrategyError, match=message):
                 evaluate(six_party_ineq, phi_plus_states, strategy)
 
@@ -141,21 +160,6 @@ def test_tensor_oracle_refuses_fourteen_sources():
         evaluate_S(ineq, states, strategy, method="tensor")
 
 
-def test_joint_observable_column_matches_engine(six_party_ineq):
-    """Party 6 (sources 4 and 6) measured through joint observables equal to
-    the kron of its slot observables gives the engine's columns."""
-    rng = np.random.default_rng(6)
-    states = {s: random_mixed(60 + s) for s in range(1, 7)}
-    strategy = _random_strategy(six_party_ineq, rng)
-    fac = evaluate_S(six_party_ineq, states, strategy).I
-    assert six_party_ineq.topology.incident_sources(6) == [4, 6]
-    for j in range(1, six_party_ineq.k + 1):
-        a, b = (strategy.slots.pop((6, j, s)) for s in (4, 6))
-        strategy.joint_observables[(6, j)] = np.kron(a.matrix, b.matrix)
-    ten = evaluate_S(six_party_ineq, states, strategy, method="tensor").I
-    np.testing.assert_allclose(ten, fac, rtol=1e-12, atol=0)
-
-
 def test_tensor_oracle_memory(six_party_ineq, phi_plus_states):
     strategy = optimal_strategy(six_party_ineq, phi_plus_states)
     tracemalloc.start()
@@ -165,28 +169,6 @@ def test_tensor_oracle_memory(six_party_ineq, phi_plus_states):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-
-
-def test_joint_observable_matches_product():
-    """A joint observable equal to the tensor product of the slot observables
-    reproduces the factorized correlator."""
-    topo = chain_topology(3)
-    states = {1: max_entangled(), 2: random_mixed(3)}
-    strategy = MeasurementStrategy()
-    strategy.set(1, 1, 1, SIGMA_Z)
-    strategy.set(2, 1, 1, SIGMA_X)
-    strategy.set(2, 1, 2, SIGMA_Z)
-    strategy.set(3, 1, 2, SIGMA_X)
-    x = {1: 1, 2: 1, 3: 1}
-    expected = correlator(topo, states, strategy, x)
-
-    joint = MeasurementStrategy()
-    joint.set(1, 1, 1, SIGMA_Z)
-    joint.set(3, 1, 2, SIGMA_X)
-    joint.joint_observables[(2, 1)] = np.kron(SIGMA_X.matrix, SIGMA_Z.matrix)
-    assert correlator_full_tensor(topo, states, joint, x) == pytest.approx(
-        expected, abs=1e-12
-    )
 
 
 def test_chained_strategy_value(six_party):
