@@ -23,6 +23,7 @@ from .builder import NetworkInequality, mixed_state_bound
 from .errors import NegativeEntryError, UnsupportedFcbiError
 from .evaluator import (
     MeasurementStrategy,
+    _product_form,
     check_conditions,
     evaluate_S,
     optimal_strategy,
@@ -148,7 +149,8 @@ def mahler_check(X) -> dict:
 
     lhs = sum_j (prod_i x_ji)^(1/q) and rhs = prod_i (sum_j x_ji)^(1/q)
     with q the number of columns; lhs never exceeds rhs, with equality
-    exactly when X has rank one or a zero column.
+    exactly when X has rank one or a zero column (`evaluator._product_form`,
+    which `check_conditions` asks too).
 
     Returns:
         dict with keys holds, lhs, rhs, equality.
@@ -161,11 +163,7 @@ def mahler_check(X) -> dict:
     q = X.shape[1]
     lhs = float(np.sum(np.prod(X, axis=1) ** (1.0 / q)))
     rhs = float(np.prod(np.sum(X, axis=0) ** (1.0 / q)))
-    svals = np.linalg.svd(X, compute_uv=False)
-    rank1 = bool(
-        svals[0] > 0 and (len(svals) < 2 or svals[1] <= 1e-9 * svals[0])
-    )
-    zero_column = bool(np.any(np.all(X == 0.0, axis=0)))
+    _, rank1, zero_column = _product_form(X)
     return {
         "holds": lhs <= rhs + 1e-12,
         "lhs": lhs,

@@ -11,11 +11,16 @@ A `_CrossObjective` holds only what depends on its (target, host) pair:
 endpoints, roles, folds, labels, leaf weights, input counts, the slot keys
 in the order its arrays read them, and the plan of its contraction. States
 enter every call as their correlation matrices, and a strategy is read in
-one pass over the slot keys. An inequality keeps the objective on its own
-network (`_own_objective`), built on first use; `evaluate_S`,
-`check_conditions`, `input_counts_for` and `optimizer.seesaw_network` reuse
-it, while `optimizer.discriminate` and `optimizer.cross_evaluate` build one
-per call.
+one pass over the slot keys: `evaluate_S`, `check_conditions` and the
+see-saw's random starts all take their rows in that order. An inequality
+keeps the objective on its own network (`_own_objective`), built on first
+use; `evaluate_S`, `check_conditions`, `input_counts_for` and
+`optimizer.seesaw_network` reuse it, while `optimizer.discriminate` and
+`optimizer.cross_evaluate` build one per call.
+
+`check_conditions` decides rank one or a zero column by `_product_form`,
+as `analysis.mahler_check` does, to one relative tolerance; it compares
+|a^T T b| with t0, as a pair's sign only flips the sign of I_j.
 
 `evaluate_S(method="tensor")` is the independent oracle for up to
 MAX_ORACLE_SOURCES = 13 sources. One contraction traces the 4x4 source
@@ -63,7 +68,9 @@ class QubitObservable:
         norm = np.linalg.norm(v)
         if norm < 1e-14:
             raise ValueError("cannot normalize a zero direction")
-        return cls(v / norm)
+        # A non-finite direction reaches the constructor undivided, which
+        # refuses it without a floating-point warning.
+        return cls(v / norm if np.isfinite(norm) else v)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -80,14 +87,6 @@ class MeasurementStrategy:
     (party, input, source) -> QubitObservable."""
 
     slots: dict[tuple[int, int, int], QubitObservable] = field(default_factory=dict)
-
-    def bloch(self, party: int, inp: int, source: int) -> np.ndarray:
-        try:
-            return self.slots[(party, inp, source)].n
-        except KeyError:
-            raise IncompleteStrategyError(
-                f"no observable for party {party}, input {inp}, source {source}"
-            ) from None
 
     def set(self, party: int, inp: int, source: int, obs) -> None:
         if not isinstance(obs, QubitObservable):
@@ -109,10 +108,11 @@ class EvaluationResult:
 class ConditionReport:
     """Saturation diagnostics for a strategy on given states.
 
-    X holds the per-column Delta norms of each peripheral source; the bound
-    is tight when X is rank one (or has a zero column) and every
-    intermediate source is measured aligned with its top correlation
-    direction.
+    X holds the per-column Delta norms of each peripheral source, one column
+    per source in ascending order; the bound is tight when X is rank one (or
+    has a zero column), up to the relative tolerance _PRODUCT_FORM_RTOL, and
+    every intermediate source is measured along its top correlation
+    direction up to sign: intermediate_residuals[u][j] = ||a_j^T T_u b_j| - t0|.
     """
 
     X: np.ndarray
@@ -303,8 +303,8 @@ class _CrossObjective:
             labels = {"a": index.get(a), "b": index.get(b), "j": 0}
             self._labels.append([..., *(labels[c] for c in axes)])
 
-        # Endpoint (i, side) owns the slot keys, and so the rows, from
-        # _bounds[2i + side] to _bounds[2i + side + 1].
+        # Endpoint (i, side) owns the slot keys, and so the rows on axis -2,
+        # that _spans[i][side] selects.
         self.slot_keys = [
             (p, inp, i + 1)
             for i, ends in enumerate(self.ends)
@@ -313,22 +313,9 @@ class _CrossObjective:
         ]
         self._slot_set = frozenset(self.slot_keys)
         sizes = [self.input_counts[p] for ends in self.ends for p in ends]
-        self._bounds = list(itertools.accumulate(sizes, initial=0))
-
-        # The slots check_conditions reads, in its order: the leaf rows of
-        # each peripheral source by ascending source, as (M^T, rows); then
-        # the two endpoints of each intermediate source, input by input.
-        leaf_of = {s: p for p, s in peripheral.items()}
-        self._leaf_rows, self._pair_rows, keys = [], [], []
-        for s in sorted(leaf_of):
-            m = target.fcbi_map[s]
-            self._leaf_rows.append((m.entries.T, slice(len(keys), len(keys) + m.rows)))
-            keys += [(leaf_of[s], x, s) for x in range(1, m.rows + 1)]
-        for u in target.intermediate_sources():
-            a, b = target.topology.endpoints(u)
-            self._pair_rows.append((u, len(keys)))
-            keys += [(p, j, u) for j in range(1, self.k + 1) for p in (a, b)]
-        self._condition_keys = keys
+        b = list(itertools.accumulate(sizes, initial=0))
+        spans = [np.s_[..., lo:hi, :] for lo, hi in zip(b, b[1:])]
+        self._spans = list(zip(spans[::2], spans[1::2]))
 
     def corrs(self, states: dict[int, TwoQubitState]) -> list[np.ndarray]:
         """The correlation matrices of the host's sources, in source order."""
@@ -343,17 +330,14 @@ class _CrossObjective:
                 f"missing observable for party {p}, input {x}, source {s}"
             )
 
-    def vectors(self, row) -> list[list[np.ndarray]]:
-        """Endpoint arrays with row(party, input, source) filled in slot-key order."""
-        return self._split(np.array([row(*key) for key in self.slot_keys]))
-
     def gather(self, strategy: MeasurementStrategy) -> list[list[np.ndarray]]:
-        """The strategy's endpoint arrays, read in one pass over the slot keys."""
-        return self._split(_rows(strategy, self.slot_keys))
+        """The strategy's endpoint arrays in slot-key order; `check` has found them all."""
+        slots = strategy.slots
+        return self._split(np.array([slots[key].n for key in self.slot_keys]))
 
     def _split(self, rows: np.ndarray) -> list[list[np.ndarray]]:
-        b = self._bounds
-        return [[rows[b[t]:b[t + 1]], rows[b[t + 1]:b[t + 2]]] for t in range(0, len(b) - 1, 2)]
+        """Endpoint arrays, as views, of rows (..., slots, 3) in slot-key order."""
+        return [[rows[a], rows[b]] for a, b in self._spans]
 
     def strategy(self, vecs) -> MeasurementStrategy:
         """The strategy of the endpoint arrays; a zero row becomes sigma_z."""
@@ -422,12 +406,6 @@ def _own_objective(ineq: NetworkInequality) -> _CrossObjective:
     return ineq._objective
 
 
-def _rows(strategy: MeasurementStrategy, keys) -> np.ndarray:
-    """The Bloch rows of the slot keys, one per key; `check` has found them all."""
-    slots = strategy.slots
-    return np.array([slots[key].n for key in keys])
-
-
 # Four labels per source, a row and a column per qubit, planned at once: 52.
 MAX_ORACLE_SOURCES = 13
 
@@ -436,7 +414,7 @@ def _party_operator(topology, strategy, party: int, inp: int) -> np.ndarray:
     """The party's operator for one input, on its qubits in ascending source order."""
     op = np.array([[1.0 + 0j]])
     for s in topology.incident_sources(party):
-        op = np.kron(op, bloch_matrix(strategy.bloch(party, inp, s)))
+        op = np.kron(op, strategy.slots[(party, inp, s)].matrix)
     return op
 
 
@@ -535,13 +513,13 @@ def optimal_strategy(
     for leaf in sorted(leaf_set):
         source = ineq.leaves.peripheral_map[leaf]
         m = ineq.fcbi_map[source]
-        vectors = _catalog_leaf_vectors(m)
+        leaf_rows = _catalog_leaf_vectors(m)
         for x in range(1, m.rows + 1):
-            strategy.set(leaf, x, source, QubitObservable(vectors[x - 1]))
+            strategy.set(leaf, x, source, QubitObservable(leaf_rows[x - 1]))
         a, b = ineq.topology.endpoints(source)
         partner = b if a == leaf else a
         corr = states[source].corr
-        for j, d in enumerate(m.delta_vectors(vectors), start=1):
+        for j, d in enumerate(m.delta_vectors(leaf_rows), start=1):
             contracted = corr.T @ d if leaf == a else corr @ d
             norm = np.linalg.norm(contracted)
             obs = (
@@ -556,6 +534,25 @@ def optimal_strategy(
     return strategy
 
 
+# Tolerance of the product-form equality, relative to X's top singular value.
+# S moves only to second order in sigma2 / sigma1, so 1e-6 moves it by about
+# 1e-12 relative.
+_PRODUCT_FORM_RTOL = 1e-6
+
+
+def _product_form(X: np.ndarray) -> tuple[np.ndarray, bool, bool]:
+    """X's singular values; whether sigma2 <= r sigma1 (rank one), r being
+    _PRODUCT_FORM_RTOL; and whether a column is below r^(2q) sigma1 for q
+    columns (a zero column: a column of size e sigma1 moves either side of
+    the product form by about e^(1/q))."""
+    svals = np.linalg.svd(X, compute_uv=False)
+    top, *rest = svals.tolist()
+    rank1 = top > 0 and (not rest or rest[0] <= _PRODUCT_FORM_RTOL * top)
+    zero_floor = top * _PRODUCT_FORM_RTOL ** (2 * X.shape[1])
+    zero_column = min(X.max(axis=0).tolist()) <= zero_floor
+    return svals, rank1, zero_column
+
+
 def check_conditions(
     ineq: NetworkInequality,
     states: dict[int, TwoQubitState],
@@ -563,33 +560,29 @@ def check_conditions(
 ) -> ConditionReport:
     """Verify the two saturation conditions for a strategy.
 
-    Condition one: the matrix of per-column Delta norms across peripheral
-    sources is rank one (or has a zero column). Condition two: every
-    intermediate source contraction reaches its top singular value.
+    Condition one: X, the per-column Delta norms of the peripheral sources
+    in ascending order, is rank one or has a zero column (`_product_form`).
+    Condition two: every intermediate pair has |a_j^T T b_j| = t0; at -t0 it
+    only flips the sign of I_j. The rows are read once, in slot-key order.
     """
     obj = _own_objective(ineq)
     obj.check(strategy)
-    rows = _rows(strategy, obj._condition_keys)
-    X = np.zeros((ineq.k, len(obj._leaf_rows)))
-    for col, (mt, span) in enumerate(obj._leaf_rows):
-        # Delta_j = (d_j . sigma) x 1 squares to |d_j|^2 times the identity,
-        # so its norm on any state is |d_j|.
-        X[:, col] = np.linalg.norm(mt @ rows[span], axis=1)
-    svals = np.linalg.svd(X, compute_uv=False)
-    rank1 = bool(svals[0] > 0 and (len(svals) < 2 or svals[1] <= 1e-8 * svals[0]))
-    zero_column = bool((X <= 1e-9).all(axis=0).any())
+    vecs = obj.gather(strategy)
+    # Delta_j = (d_j . sigma) x 1 squares to |d_j|^2 times the identity, so
+    # its norm on any state is |d_j|; d = M^T U for the leaf's rows U.
+    d = [
+        ineq.fcbi_map[s].entries.T @ vecs[s - 1][obj.ends[s - 1].index(p)]
+        for s, p in sorted((s, p) for p, s in ineq.leaves.peripheral_map.items())
+    ]
+    X = np.sqrt(np.einsum("sjc,sjc->js", d, d))
+    svals, rank1, zero_column = _product_form(X)
 
-    residuals = {}
-    ok = True
-    for u, first in obj._pair_rows:
-        t0 = states[u].t0
-        corr = states[u].corr
-        res = np.zeros(ineq.k)
-        for j in range(ineq.k):
-            a, b = rows[first + 2 * j], rows[first + 2 * j + 1]
-            res[j] = abs(float(a @ corr @ b) - t0)
-        residuals[u] = res
-        ok = ok and bool(np.all(res <= 1e-9))
+    residuals, worst = {}, 0.0
+    for u in ineq.intermediate_sources():
+        a_rows, b_rows = vecs[u - 1]
+        state = states[u]
+        residuals[u] = abs(abs((a_rows @ state.corr * b_rows).sum(axis=1)) - state.t0)
+        worst = max(worst, residuals[u].max().item())
 
     return ConditionReport(
         X=X,
@@ -597,5 +590,5 @@ def check_conditions(
         rank1=rank1,
         zero_column=zero_column,
         intermediate_residuals=residuals,
-        saturated=(rank1 or zero_column) and ok,
+        saturated=(rank1 or zero_column) and worst <= 1e-9,
     )

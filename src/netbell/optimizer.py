@@ -105,9 +105,9 @@ def _powersum(cs: np.ndarray, gs: np.ndarray, l: int):
 
 def _draw(obj: _CrossObjective, rngs) -> list[np.ndarray]:
     """Starting rows [U_1a, U_1b, U_2a, ...] batched over the restarts;
-    restart r draws its rows from rngs[r] in endpoint order."""
-    starts = [obj.vectors(lambda *slot: _normalize_rows(rng.normal(size=3))) for rng in rngs]
-    return [np.stack(rows) for rows in zip(*(sum(vecs, []) for vecs in starts))]
+    restart r draws its rows from rngs[r] in slot-key order."""
+    rows = np.stack([rng.normal(size=(len(obj.slot_keys), 3)) for rng in rngs])
+    return sum(obj._split(_normalize_rows(rows)), [])
 
 
 def _ends(rows):

@@ -20,8 +20,8 @@ def correlator(topology, states, strategy, x):
     value = 1.0
     for j in range(1, topology.n_sources + 1):
         a, b = topology.endpoints(j)
-        u = strategy.bloch(a, x[a], j)
-        v = strategy.bloch(b, x[b], j)
+        u = strategy.slots[(a, x[a], j)].n
+        v = strategy.slots[(b, x[b], j)].n
         value *= float(u @ states[j].corr @ v)
     return value
 

@@ -13,9 +13,10 @@ from netbell.analysis import (
 )
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import NegativeEntryError, TooFewLeavesError, UnsupportedFcbiError
-from netbell.evaluator import SIGMA_Z, MeasurementStrategy
+from netbell.evaluator import SIGMA_Z, MeasurementStrategy, check_conditions, optimal_strategy
 from netbell.fcbi import CHAINED, EBI, custom_matrix, make_catalog
 from netbell.networks import chain_topology, chsh_inequality
+from netbell.optimizer import seesaw_network
 from netbell.qstate import WernerSpec, classical_zz, max_entangled, werner
 from netbell.topology import build_topology
 
@@ -162,6 +163,71 @@ def test_mahler_rank1_equality(p, q, seed):
     res = mahler_check(X)
     assert res["equality"]
     assert res["lhs"] == pytest.approx(res["rhs"])
+
+
+def test_mahler_gap_is_second_order():
+    """Off the rank-one set, rhs - lhs grows as the square of the distance:
+    for positive X = u v^T + r E the gap over r^2 tends to a constant. So a
+    product-form tolerance of 1e-6 on sigma2 / sigma1 admits a relative gap
+    of about 1e-12 only."""
+    rng = np.random.default_rng(5)
+    u, v, E = rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 3), rng.uniform(0.0, 1.0, (4, 3))
+
+    def gap(r):
+        res = mahler_check(np.outer(u, v) + r * E)
+        return res["rhs"] - res["lhs"], res
+
+    limit = gap(1e-4)[0] / 1e-8
+    assert limit > 0
+    for r in (1e-1, 1e-2, 1e-3):
+        assert gap(r)[0] / r**2 == pytest.approx(limit, rel=0.1)
+    X = np.outer(u, v) + 5e-6 * E
+    svals = np.linalg.svd(X, compute_uv=False)
+    assert 1e-7 < svals[1] / svals[0] <= 1e-6
+    g, res = gap(5e-6)
+    assert res["equality"]
+    assert 0 <= g <= 1e-11 * res["rhs"]
+
+
+def test_mahler_equality_is_scale_free():
+    """The rank-one and zero-column tests are relative to X's top singular
+    value, so a scaled X gets the decision X gets. A column of relative size
+    1e-7 is not zero: it moves both sides by its cube root, 5e-3."""
+    cases = [
+        ([[1.0, 0.0], [2.0, 0.0]], True),
+        ([[1.0, 2.0], [2.0, 4.0]], True),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True),
+        ([[1.0, 0.0], [0.0, 1.0]], False),
+        ([[1.0, 2.0], [3.0, 1.0]], False),
+        ([[1.0, 0.0, 1e-7], [0.0, 1.0, 0.0]], False),
+    ]
+    for X, equality in cases:
+        for scale in (1e-12, 1.0, 1e12):
+            assert mahler_check(scale * np.array(X))["equality"] is equality, (X, scale)
+
+
+def test_conditions_and_mahler_decide_alike(six_party_ineq, phi_plus_states):
+    """check_conditions' product-form verdict on its X is mahler_check's
+    equality on the same X, at the catalog optimum, at see-saw optima (rank
+    one to about 1e-7) and at random leaf observables."""
+    rng = np.random.default_rng(2)
+    strategies = [optimal_strategy(six_party_ineq, phi_plus_states)]
+    strategies += [
+        seesaw_network(six_party_ineq, phi_plus_states, restarts=4, seed=seed).best_config
+        for seed in range(3)
+    ]
+    for _ in range(4):
+        strategy = optimal_strategy(six_party_ineq, phi_plus_states)
+        for leaf, source in six_party_ineq.leaves.peripheral_map.items():
+            for x in (1, 2):
+                strategy.set(leaf, x, source, rng.normal(size=3))
+        strategies.append(strategy)
+    verdicts = []
+    for strategy in strategies:
+        rep = check_conditions(six_party_ineq, phi_plus_states, strategy)
+        verdicts.append(rep.rank1 or rep.zero_column)
+        assert verdicts[-1] == mahler_check(rep.X)["equality"]
+    assert verdicts == [True] * 4 + [False] * 4
 
 
 def test_report_flags_at_optimum(six_party_ineq, phi_plus_states):

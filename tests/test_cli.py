@@ -92,6 +92,25 @@ def test_eval_explicit_strategy(tmp_path):
     assert out["provenance"]["strategy"] == "explicit"
 
 
+def test_optimized_strategy_meets_the_conditions(tmp_path):
+    """The strategy `optimize` prints, fed back to `eval`, meets both
+    saturation conditions as well as the bound: a see-saw optimum may have
+    an intermediate pair at -t0 and X rank one only to about 1e-7."""
+    config = json.loads((CONFIG_DIR / "six_party.json").read_text())
+    proc = run_cli("optimize", str(CONFIG_DIR / "six_party.json"))
+    assert proc.returncode == 0, proc.stderr
+    config["strategy"] = json.loads(proc.stdout)["strategy"]
+    path = tmp_path / "six_party_optimized.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("eval", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["flags"] == {
+        "violates_classical": True,
+        "saturates_quantum": True,
+        "conditions_met": True,
+    }
+
+
 def test_oracle_and_bounds():
     proc = run_cli("oracle", f"{CONFIG_DIR}/bilocal_chain.json")
     out = json.loads(proc.stdout)

@@ -374,7 +374,7 @@ def test_star_on_ring_matches_transfer_matrices(n):
 
     def factor(s):
         a, b = s, s % size + 1
-        rows = [[strategy.bloch(p, x, s) for x in range(1, counts[p] + 1)] for p in (a, b)]
+        rows = [[strategy.slots[(p, x, s)].n for x in range(1, counts[p] + 1)] for p in (a, b)]
         f = np.array(rows[0]) @ states[s].corr @ np.array(rows[1]).T
         return f if ring.endpoints(s) == (a, b) else f.T
 
