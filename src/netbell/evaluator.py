@@ -10,17 +10,19 @@ F_s = U_a T_s U_b^T, one row of Bloch vectors per endpoint input.
 A `_CrossObjective` holds only what depends on its (target, host) pair:
 endpoints, roles, folds, labels, leaf weights, input counts, the slot keys
 in the order its arrays read them, and the plan of its contraction. States
-enter every call as their correlation matrices, and a strategy is read in
-one pass over the slot keys: `evaluate_S`, `check_conditions` and the
-see-saw's random starts all take their rows in that order. An inequality
-keeps the objective on its own network (`_own_objective`), built on first
-use; `evaluate_S`, `check_conditions`, `input_counts_for` and
-`optimizer.seesaw_network` reuse it, while `optimizer.discriminate` and
-`optimizer.cross_evaluate` build one per call.
+enter every call as their correlation matrices, and a strategy is one
+array of Bloch rows in slot-key order, read by `gather` and written by
+`strategy`: `evaluate_S`, `check_conditions`, `optimal_strategy` and the
+network see-saw all hold it so. An inequality keeps the objective on its
+own network (`_own_objective`), built on first use; `evaluate_S`,
+`check_conditions`, `input_counts_for` and `optimizer.seesaw_network`
+reuse it, while `optimizer.discriminate` and `optimizer.cross_evaluate`
+build one per call.
 
 `check_conditions` decides rank one or a zero column by `_product_form`,
 as `analysis.mahler_check` does, to one relative tolerance; it compares
-|a^T T b| with t0, as a pair's sign only flips the sign of I_j.
+|a^T T b| with t0 to a tolerance relative to t0, as a pair's sign only
+flips the sign of I_j.
 
 `evaluate_S(method="tensor")` is the independent oracle for up to
 MAX_ORACLE_SOURCES = 13 sources. One contraction traces the 4x4 source
@@ -112,7 +114,8 @@ class ConditionReport:
     per source in ascending order; the bound is tight when X is rank one (or
     has a zero column), up to the relative tolerance _PRODUCT_FORM_RTOL, and
     every intermediate source is measured along its top correlation
-    direction up to sign: intermediate_residuals[u][j] = ||a_j^T T_u b_j| - t0|.
+    direction up to sign, to _ALIGNMENT_RTOL t0:
+    intermediate_residuals[u][j] = ||a_j^T T_u b_j| - t0|.
     """
 
     X: np.ndarray
@@ -219,7 +222,9 @@ _LEAF_LABELS = 51
 # intermediate, "l" for a leaf with its own label, "f" for a leaf whose
 # only host source this is. Each entry is the einsum that reduces
 # F[x_a, x_b] and the folded leaves' weights to R (None: R = F), and the
-# axes of R, with a and b standing for the endpoints' leaf labels.
+# axes of R, with a and b standing for the endpoints' leaf labels. No source
+# has two "f" endpoints: outside a two-party network, which build_inequality
+# refuses, such a source would leave its host disconnected.
 _OPERANDS = {
     ("j", "j"): ("...jj->...j", "j"),
     ("j", "l"): (None, "jb"),
@@ -229,7 +234,6 @@ _OPERANDS = {
     ("l", "f"): ("...ay,yj->...aj", "aj"),
     ("f", "j"): ("...xj,xj->...j", "j"),
     ("f", "l"): ("...xb,xj->...bj", "bj"),
-    ("f", "f"): ("...xy,xj,yj->...j", "j"),
 }
 
 
@@ -247,22 +251,25 @@ class _CrossObjective:
     held: states enter each call as corrs, the list of their correlation
     matrices T_i in host source order (`corrs`).
 
-    A strategy is held as one (inputs, 3) array of Bloch rows per source
-    endpoint: vecs[i] = [U_a, U_b] for host source i + 1 with endpoints
-    (a, b), the rows of the slot keys (party, input, source) in endpoint
-    order. Source i enters the contraction as its operand R_i: the factor
-    F_i = U_a T_i U_b^T with the weights M_p[:, j] of every target leaf p
-    whose only host source it is summed in, and the diagonal taken where
-    both axes carry the column index j. `columns` contracts the R_i and
-    the weights of the leaves with several host sources (a host other than
-    the target can have them; each takes a label) along a planned path.
+    A strategy is held as one array `rows` of shape (slots, 3), the Bloch
+    rows of the slot keys (party, input, source) in slot-key order: source
+    by source, each endpoint's inputs in turn. The rows U_a, U_b of host
+    source i + 1 with endpoints (a, b) are rows[spans[i][0]] and
+    rows[spans[i][1]]. `gather` reads a strategy into rows and `strategy`
+    writes rows back. Source i enters the contraction as its operand R_i:
+    the factor F_i = U_a T_i U_b^T with the weights M_p[:, j] of every
+    target leaf p whose only host source it is summed in, and the diagonal
+    taken where both axes carry the column index j. `columns` contracts the
+    R_i and the weights of the leaves with several host sources (a host
+    other than the target can have them; each takes a label) along a
+    planned path.
     Every I_j is linear in each endpoint's rows, so the block coefficients
     of an endpoint are the same contraction evaluated at unit rows.
 
     Every array may carry leading batch axes, one strategy per leading
-    index: endpoint rows of shape (..., inputs, 3) give operands and
-    columns of shape (..., *) and one value per leading index. The Delta
-    weights and correlation matrices are shared by the batch.
+    index: rows of shape (..., slots, 3) give operands and columns of
+    shape (..., *) and one value per leading index. The Delta weights and
+    correlation matrices are shared by the batch.
     """
 
     def __init__(self, target: NetworkInequality, host: NetworkTopology):
@@ -304,7 +311,7 @@ class _CrossObjective:
             self._labels.append([..., *(labels[c] for c in axes)])
 
         # Endpoint (i, side) owns the slot keys, and so the rows on axis -2,
-        # that _spans[i][side] selects.
+        # that spans[i][side] selects.
         self.slot_keys = [
             (p, inp, i + 1)
             for i, ends in enumerate(self.ends)
@@ -315,55 +322,47 @@ class _CrossObjective:
         sizes = [self.input_counts[p] for ends in self.ends for p in ends]
         b = list(itertools.accumulate(sizes, initial=0))
         spans = [np.s_[..., lo:hi, :] for lo, hi in zip(b, b[1:])]
-        self._spans = list(zip(spans[::2], spans[1::2]))
+        self.spans = list(zip(spans[::2], spans[1::2]))
 
     def corrs(self, states: dict[int, TwoQubitState]) -> list[np.ndarray]:
         """The correlation matrices of the host's sources, in source order."""
         return [states[s].corr for s in range(1, len(self.ends) + 1)]
 
-    def check(self, strategy: MeasurementStrategy) -> None:
-        """Raise IncompleteStrategyError unless the strategy has every slot
-        of the host, naming the first missing (party, input, source)."""
-        if not strategy.slots.keys() >= self._slot_set:
-            p, x, s = min(self._slot_set - strategy.slots.keys())
+    def gather(self, strategy: MeasurementStrategy) -> np.ndarray:
+        """The strategy's rows (slots, 3) in slot-key order. Raises
+        IncompleteStrategyError unless every slot of the host is set, naming
+        the first missing (party, input, source)."""
+        slots = strategy.slots
+        if not slots.keys() >= self._slot_set:
+            p, x, s = min(self._slot_set - slots.keys())
             raise IncompleteStrategyError(
                 f"missing observable for party {p}, input {x}, source {s}"
             )
+        return np.array([slots[key].n for key in self.slot_keys])
 
-    def gather(self, strategy: MeasurementStrategy) -> list[list[np.ndarray]]:
-        """The strategy's endpoint arrays in slot-key order; `check` has found them all."""
-        slots = strategy.slots
-        return self._split(np.array([slots[key].n for key in self.slot_keys]))
+    def strategy(self, rows: np.ndarray) -> MeasurementStrategy:
+        """The strategy of rows (slots, 3) in slot-key order; a zero row
+        becomes sigma_z."""
+        return MeasurementStrategy({
+            key: QubitObservable(vec) if vec @ vec > 0.5 else SIGMA_Z
+            for key, vec in zip(self.slot_keys, _normalize_rows(rows))
+        })
 
-    def _split(self, rows: np.ndarray) -> list[list[np.ndarray]]:
-        """Endpoint arrays, as views, of rows (..., slots, 3) in slot-key order."""
-        return [[rows[a], rows[b]] for a, b in self._spans]
-
-    def strategy(self, vecs) -> MeasurementStrategy:
-        """The strategy of the endpoint arrays; a zero row becomes sigma_z."""
-        strategy = MeasurementStrategy()
-        for i, ends in enumerate(self.ends):
-            for p, rows in zip(ends, vecs[i]):
-                for inp, vec in enumerate(_normalize_rows(rows), start=1):
-                    strategy.slots[(p, inp, i + 1)] = (
-                        QubitObservable(vec) if vec @ vec > 0.5 else SIGMA_Z
-                    )
-        return strategy
-
-    def factor(self, vecs, corrs, i: int) -> np.ndarray:
-        """The operand R_i of source i."""
-        a_rows, b_rows = vecs[i]
-        return self._fold(a_rows @ corrs[i] @ b_rows.swapaxes(-1, -2), i)
-
-    def _fold(self, f: np.ndarray, i: int) -> np.ndarray:
-        """R_i from the factor F_i: the folded leaves summed in, diagonal taken."""
+    def _source_operand(self, ends, corr: np.ndarray, i: int) -> np.ndarray:
+        """R_i from the endpoint rows (U_a, U_b) of source i: the factor
+        F_i = U_a T_i U_b^T, the folded leaves summed in, diagonal taken."""
+        f = ends[0] @ corr @ ends[1].swapaxes(-1, -2)
         if self._folds[i] is None:
             return f
         spec, folded = self._folds[i]
         return np.einsum(spec, f, *folded)
 
-    def factors(self, vecs, corrs) -> list[np.ndarray]:
-        return [self.factor(vecs, corrs, i) for i in range(len(self.ends))]
+    def factor(self, rows: np.ndarray, corrs, i: int) -> np.ndarray:
+        """The operand R_i of source i."""
+        return self._source_operand([rows[span] for span in self.spans[i]], corrs[i], i)
+
+    def factors(self, rows: np.ndarray, corrs) -> list[np.ndarray]:
+        return [self.factor(rows, corrs, i) for i in range(len(self.ends))]
 
     def columns(self, factors) -> np.ndarray:
         """All k column correlators I_j.
@@ -379,20 +378,19 @@ class _CrossObjective:
         """S = sum_j |I_j|^(1/l), one value per leading index."""
         return np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l), axis=-1)
 
-    def block_coeffs(self, vecs, corrs, factors, i: int, side: int) -> np.ndarray:
-        """H with I_j = sum_x H[..., x, j] . U[..., x] for the endpoint rows
-        U = vecs[i][side], of shape (..., inputs, k, 3).
+    def block_coeffs(self, rows: np.ndarray, corrs, factors, i: int, side: int) -> np.ndarray:
+        """H with I_j = sum_x H[..., x, j] . U[..., x] for the rows U of
+        endpoint (i, side), rows[spans[i][side]]; shape (..., inputs, k, 3).
 
         Every I_j is linear in U, so H[x, j, c] is I_j with U replaced by the
         unit rows e_(x, c). The 3 * inputs unit rows ride on a new axis ahead
         of the batch axes, and `columns` contracts them all at once; H does
         not depend on U or on factors[i].
         """
-        rows = vecs[i][side]
-        n = rows.shape[-2]
-        ends = list(vecs[i])
+        ends = [rows[span] for span in self.spans[i]]
+        n = ends[side].shape[-2]
         ends[side] = np.eye(3 * n).reshape((3 * n,) + (1,) * (rows.ndim - 2) + (n, 3))
-        unit = self._fold(ends[0] @ corrs[i] @ ends[1].swapaxes(-1, -2), i)
+        unit = self._source_operand(ends, corrs[i], i)
         cols = self.columns([unit if t == i else f for t, f in enumerate(factors)])
         h = np.moveaxis(cols, 0, -2).reshape(cols.shape[1:-1] + (n, 3, self.k))
         return h.swapaxes(-1, -2)
@@ -463,9 +461,9 @@ def evaluate_S(
 ) -> EvaluationResult:
     """Evaluate all columns and assemble S = sum_j |I_j|^(1/l)."""
     obj = _own_objective(ineq)
-    obj.check(strategy)
+    rows = obj.gather(strategy)
     if method == "factorized":
-        I = obj.columns(obj.factors(obj.gather(strategy), obj.corrs(states)))
+        I = obj.columns(obj.factors(rows, obj.corrs(states)))
     elif method == "tensor":
         I = np.array([
             column_correlator_tensor(ineq, states, strategy, j)
@@ -503,41 +501,37 @@ def optimal_strategy(
 ) -> MeasurementStrategy:
     """Bound-saturating strategy for catalog FCBIs.
 
-    Leaves get the catalog-optimal observables; the partner qubit of each
+    Every row starts at sigma_z, which intermediate sources keep for every
+    input. Leaves get the catalog-optimal rows; the partner qubit of each
     peripheral source is aligned with the correlation-contracted Delta
-    direction (orientation already non-negative); intermediate sources are
-    measured along sigma_z for every input.
+    directions, the rows of D T (or D T^T when the leaf is the source's
+    second endpoint) for the leaf's Delta vectors D, and a zero one stays
+    sigma_z.
     """
-    strategy = MeasurementStrategy()
-    leaf_set = {int(p) for p in ineq.leaves.leaf_set}
-    for leaf in sorted(leaf_set):
-        source = ineq.leaves.peripheral_map[leaf]
+    obj = _own_objective(ineq)
+    rows = np.zeros((len(obj.slot_keys), 3))
+    rows[:, 2] = 1.0
+    for leaf, source in ineq.leaves.peripheral_map.items():
         m = ineq.fcbi_map[source]
         leaf_rows = _catalog_leaf_vectors(m)
-        for x in range(1, m.rows + 1):
-            strategy.set(leaf, x, source, QubitObservable(leaf_rows[x - 1]))
-        a, b = ineq.topology.endpoints(source)
-        partner = b if a == leaf else a
+        side = obj.ends[source - 1].index(leaf)
         corr = states[source].corr
-        for j, d in enumerate(m.delta_vectors(leaf_rows), start=1):
-            contracted = corr.T @ d if leaf == a else corr @ d
-            norm = np.linalg.norm(contracted)
-            obs = (
-                QubitObservable(contracted / norm) if norm > 1e-14 else SIGMA_Z
-            )
-            strategy.set(partner, j, source, obs)
-    for u in ineq.intermediate_sources():
-        a, b = ineq.topology.endpoints(u)
-        for j in range(1, ineq.k + 1):
-            strategy.set(a, j, u, SIGMA_Z)
-            strategy.set(b, j, u, SIGMA_Z)
-    return strategy
+        rows[obj.spans[source - 1][side]] = leaf_rows
+        rows[obj.spans[source - 1][1 - side]] = m.delta_vectors(leaf_rows) @ (
+            corr if side == 0 else corr.T
+        )
+    return obj.strategy(rows)
 
 
 # Tolerance of the product-form equality, relative to X's top singular value.
 # S moves only to second order in sigma2 / sigma1, so 1e-6 moves it by about
 # 1e-12 relative.
 _PRODUCT_FORM_RTOL = 1e-6
+
+
+# Tolerance of condition two, relative to t0: I_j is linear in a^T T b, so
+# a pair off by e t0 moves I_j by the fraction e, whatever the state's scale.
+_ALIGNMENT_RTOL = 1e-9
 
 
 def _product_form(X: np.ndarray) -> tuple[np.ndarray, bool, bool]:
@@ -562,27 +556,27 @@ def check_conditions(
 
     Condition one: X, the per-column Delta norms of the peripheral sources
     in ascending order, is rank one or has a zero column (`_product_form`).
-    Condition two: every intermediate pair has |a_j^T T b_j| = t0; at -t0 it
-    only flips the sign of I_j. The rows are read once, in slot-key order.
+    Condition two: every intermediate pair has |a_j^T T b_j| = t0, up to
+    _ALIGNMENT_RTOL t0; at -t0 it only flips the sign of I_j. The rows are
+    read once, in slot-key order.
     """
     obj = _own_objective(ineq)
-    obj.check(strategy)
-    vecs = obj.gather(strategy)
+    rows = obj.gather(strategy)
     # Delta_j = (d_j . sigma) x 1 squares to |d_j|^2 times the identity, so
     # its norm on any state is |d_j|; d = M^T U for the leaf's rows U.
     d = [
-        ineq.fcbi_map[s].entries.T @ vecs[s - 1][obj.ends[s - 1].index(p)]
+        ineq.fcbi_map[s].entries.T @ rows[obj.spans[s - 1][obj.ends[s - 1].index(p)]]
         for s, p in sorted((s, p) for p, s in ineq.leaves.peripheral_map.items())
     ]
     X = np.sqrt(np.einsum("sjc,sjc->js", d, d))
     svals, rank1, zero_column = _product_form(X)
 
-    residuals, worst = {}, 0.0
+    residuals, aligned = {}, True
     for u in ineq.intermediate_sources():
-        a_rows, b_rows = vecs[u - 1]
+        a, b = obj.spans[u - 1]
         state = states[u]
-        residuals[u] = abs(abs((a_rows @ state.corr * b_rows).sum(axis=1)) - state.t0)
-        worst = max(worst, residuals[u].max().item())
+        residuals[u] = abs(abs((rows[a] @ state.corr * rows[b]).sum(axis=1)) - state.t0)
+        aligned = aligned and residuals[u].max().item() <= _ALIGNMENT_RTOL * state.t0
 
     return ConditionReport(
         X=X,
@@ -590,5 +584,5 @@ def check_conditions(
         rank1=rank1,
         zero_column=zero_column,
         intermediate_residuals=residuals,
-        saturated=(rank1 or zero_column) and worst <= 1e-9,
+        saturated=(rank1 or zero_column) and aligned,
     )

@@ -272,24 +272,24 @@ def _sphere_ascent(a, value, derivs):
 
 
 def _ascend(rows, value, sweep, sweeps: int, tol: float, finish=None):
-    """Sweep the batch of restarts `rows` in place; returns each restart's
-    value and converged flag. value(rows) scores the starts; sweep(rows)
-    updates the live restarts' rows in place and returns their new values and
-    which of them moved. A restart stops at its first sweep that gains less
-    than tol, keeps the better of its last two values, and has converged if
-    that sweep moved it. Restarts live after `sweeps` sweeps have not
-    converged, unless finish(rows, live) updates the rows of those restarts
-    in place and reports them converged."""
+    """Sweep the batch of restarts `rows`, one array with the restart on its
+    leading axis, in place; returns each restart's value and converged flag.
+    value(rows) scores the starts; sweep(rows) updates the live restarts'
+    rows in place and returns their new values and which of them moved. A
+    restart stops at its first sweep that gains less than tol, keeps the
+    better of its last two values, and has converged if that sweep moved
+    it. Restarts live after `sweeps` sweeps have not converged, unless
+    finish(rows, live) updates the rows of those restarts in place and
+    reports them converged."""
     val = value(rows)
     converged = np.zeros(len(val), dtype=bool)
     live = np.arange(len(val))
     for _ in range(sweeps):
-        work = [r[live] for r in rows]
+        work = rows[live]
         new_val, moved = sweep(work)
         old_val = val[live]
         done = new_val - old_val < tol
-        for r, w in zip(rows, work):
-            r[live] = w
+        rows[live] = work
         val[live] = np.where(done, np.maximum(old_val, new_val), new_val)
         converged[live[done]] = moved[done]
         live = live[~done]
@@ -303,10 +303,11 @@ def _ascend(rows, value, sweep, sweeps: int, tol: float, finish=None):
 def best_of_restarts(draw, value, sweep, restarts, seed, sweeps, tol, finish=None):
     """Best of `restarts` see-saws, `_ascend`ed chunk by chunk.
 
-    draw(rngs) gives a chunk's starting arrays, restart r drawn from
-    default_rng(child r of SeedSequence(seed)); ties go to the lowest r.
-    Returns the best restart's value and arrays, every restart's value in
-    restart order, and whether any restart converged.
+    draw(rngs) gives a chunk's starting rows as one array, restart r on
+    index r of its leading axis, drawn from default_rng(child r of
+    SeedSequence(seed)); ties go to the lowest r. Returns the best restart's
+    value and rows, every restart's value in restart order, and whether any
+    restart converged.
     """
     if restarts < 1:
         raise BadRestartsError(f"restarts must be at least 1, got {restarts}")
@@ -322,7 +323,7 @@ def best_of_restarts(draw, value, sweep, restarts, seed, sweeps, tol, finish=Non
         any_converged = any_converged or bool(converged.any())
         best = int(np.argmax(val))
         if val[best] > best_value:
-            best_value, best_rows = float(val[best]), [r[best] for r in rows]
+            best_value, best_rows = float(val[best]), rows[best]
     return best_value, best_rows, history, any_converged
 
 
@@ -338,8 +339,7 @@ def _seesaw_value(m, corr, restarts: int, seed: int) -> tuple[float, np.ndarray]
 
     value = functools.partial(_objective, m=m, corr=corr)
 
-    def sweep(rows):
-        a = rows[0]
+    def sweep(a):
         b = _normalize_rows((m.T @ a) @ corr)
         a[...] = _normalize_rows(m @ (b @ corr.T), fallback=a)
         return value(a), np.ones(len(a), dtype=bool)
@@ -353,23 +353,21 @@ def _seesaw_value(m, corr, restarts: int, seed: int) -> tuple[float, np.ndarray]
         k = (corr @ corr.T - tu[..., :, None] * tu[..., None, :]) / norms[..., None]
         return m @ tu, np.einsum("xy,zy,byac->bxazc", m, m, k, optimize=True)
 
-    def finish(rows, live):
-        rows[0][live], val, converged = _sphere_ascent(rows[0][live], value, derivs)
+    def finish(a, live):
+        a[live], val, converged = _sphere_ascent(a[live], value, derivs)
         return val, converged
 
     def draw(rngs):
-        starts = [rng.normal(size=(m.shape[0], 3)) for rng in rngs]
-        return [_normalize_rows(np.stack(starts))]
+        return _normalize_rows(np.stack([rng.normal(size=(m.shape[0], 3)) for rng in rngs]))
 
     best, rows, _, converged = best_of_restarts(
-        draw, lambda rows: value(rows[0]), sweep, restarts, seed,
-        sweeps=200, tol=1e-12, finish=finish,
+        draw, value, sweep, restarts, seed, sweeps=200, tol=1e-12, finish=finish,
     )
     if not converged:
         raise NonConvergenceError(
             "see-saw failed to converge in every restart", best_value=best
         )
-    return best, rows[0]
+    return best, rows
 
 
 def quantum_opt_numeric(

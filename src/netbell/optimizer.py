@@ -17,11 +17,11 @@ recomputed once both its endpoints are updated: neither block's H depends
 on it.
 
 The restarts run through `fcbi.best_of_restarts`, which the bipartite
-see-saw uses too: it holds a restart's endpoint arrays as one flat list
-[U_1a, U_1b, U_2a, ...], batched on a leading axis, and `_ends` regroups that
-list as the engine's vecs[i][side] without copying a row. `_sweep` updates
-every block of the live restarts once, recomputing the source operands from
-their rows, and a leaf's rows are polished for every live restart at once.
+see-saw uses too: a chunk of restarts is one array of the engine's rows,
+(restarts, slots, 3) in slot-key order, and an endpoint's block is the view
+the engine's `spans` select. `_sweep` updates every block of the live
+restarts once, recomputing the source operands from their rows, and a
+leaf's rows are polished for every live restart at once.
 
 The exhaustive oracle enumerates the deterministic leaf response tables;
 intermediate parties answer +1, since their sign cannot change |I_j|.
@@ -103,33 +103,28 @@ def _powersum(cs: np.ndarray, gs: np.ndarray, l: int):
     return value, derivs
 
 
-def _draw(obj: _CrossObjective, rngs) -> list[np.ndarray]:
-    """Starting rows [U_1a, U_1b, U_2a, ...] batched over the restarts;
-    restart r draws its rows from rngs[r] in slot-key order."""
+def _draw(obj: _CrossObjective, rngs) -> np.ndarray:
+    """Starting rows (restarts, slots, 3); restart r draws its rows from
+    rngs[r] in slot-key order."""
     rows = np.stack([rng.normal(size=(len(obj.slot_keys), 3)) for rng in rngs])
-    return sum(obj._split(_normalize_rows(rows)), [])
+    return _normalize_rows(rows)
 
 
-def _ends(rows):
-    """The engine's vecs[i][side] over the same arrays as [U_1a, U_1b, ...]."""
-    return [rows[i : i + 2] for i in range(0, len(rows), 2)]
-
-
-def _sweep(obj: _CrossObjective, corrs, rows):
-    """Update every endpoint block of the batch in place; returns the new
-    values and which restarts had a block with a nonzero H."""
-    vecs = _ends(rows)
-    factors = obj.factors(vecs, corrs)
-    moved = np.zeros(len(rows[0]), dtype=bool)
+def _sweep(obj: _CrossObjective, corrs, rows: np.ndarray):
+    """Update every endpoint block of the batch of rows in place; returns
+    the new values and which restarts had a block with a nonzero H."""
+    factors = obj.factors(rows, corrs)
+    moved = np.zeros(len(rows), dtype=bool)
     for i, ends in enumerate(obj.ends):
         for side, party in enumerate(ends):
-            h = obj.block_coeffs(vecs, corrs, factors, i, side)
+            span = obj.spans[i][side]
+            h = obj.block_coeffs(rows, corrs, factors, i, side)
             scale = np.abs(h).max(axis=(1, 2, 3))
             # A restart whose H is all zero has nothing to move here.
             ok = scale > 0.0
             moved |= ok
             h = h[ok] / scale[ok, None, None, None]
-            u = vecs[i][side][ok]
+            u = rows[span][ok]
             if party in obj.intermediate:
                 # Input x enters column x only: I_x = H[x, x] . U[x].
                 u = _normalize_rows(np.einsum("bxxc->bxc", h), fallback=u)
@@ -141,8 +136,8 @@ def _sweep(obj: _CrossObjective, corrs, rows):
                     u[:, x] = _sphere_ascent(
                         u[:, x, None], *_powersum(c, h[:, x], obj.l)
                     )[0][:, 0]
-            vecs[i][side][ok] = u
-        factors[i] = obj.factor(vecs, corrs, i)
+            rows[span][ok] = u
+        factors[i] = obj.factor(rows, corrs, i)
     return obj.value(factors), moved
 
 
@@ -150,13 +145,13 @@ def _run_restarts(obj: _CrossObjective, states, restarts: int, seed: int) -> Sea
     corrs = obj.corrs(states)
     value, rows, history, converged = best_of_restarts(
         lambda rngs: _draw(obj, rngs),
-        lambda rows: obj.value(obj.factors(_ends(rows), corrs)),
+        lambda rows: obj.value(obj.factors(rows, corrs)),
         lambda rows: _sweep(obj, corrs, rows),
         restarts, seed, sweeps=120, tol=1e-11,
     )
     return SearchReport(
         best_value=value,
-        best_config=obj.strategy(_ends(rows)),
+        best_config=obj.strategy(rows),
         restarts_used=restarts,
         seed=seed,
         converged=converged,
@@ -216,7 +211,6 @@ def cross_evaluate(
 ) -> float:
     """Evaluate the target S for an explicit strategy on the host network."""
     obj = _CrossObjective(ineq_target, topology_source)
-    obj.check(strategy)
     return float(obj.value(obj.factors(obj.gather(strategy), obj.corrs(states))))
 
 

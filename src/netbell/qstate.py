@@ -164,15 +164,15 @@ def product_00() -> TwoQubitState:
 def random_mixed(seed: int) -> TwoQubitState:
     """Random full-rank-ish mixture of four random pure states, seed-determined."""
     rng = np.random.default_rng(seed)
-    vecs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    kets = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     # rng.dirichlet(np.ones(4)) without its argument checks: with every
     # alpha 1 it draws standard_gamma(1), which is standard_exponential, and
     # multiplies by 1 / (their sum, added in order as cumsum adds them).
     weights = rng.standard_exponential(4)
     weights *= 1.0 / weights.cumsum()[-1]
     # sum_i w_i |v_i><v_i|; a sum over the outer axis adds the terms in order.
-    rho = (weights[:, None, None] * (vecs[:, :, None] * vecs.conj()[:, None, :])).sum(axis=0)
+    rho = (weights[:, None, None] * (kets[:, :, None] * kets.conj()[:, None, :])).sum(axis=0)
     rho = (rho + rho.conj().T) / 2
     rho /= rho.trace().real
     return bloch_decompose(rho)

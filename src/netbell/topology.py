@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,22 +41,19 @@ class NetworkTopology:
     n_parties: int
     edges: np.ndarray
     degrees: np.ndarray
-    _adjacency: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_sources(self) -> int:
         return self.edges.shape[0]
 
-    @property
+    @functools.cached_property
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-party list of (neighbor, source index) pairs, built lazily."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_parties + 1)]
-            for j, (a, b) in enumerate(self.edges, start=1):
-                adj[int(a)].append((int(b), j))
-                adj[int(b)].append((int(a), j))
-            object.__setattr__(self, "_adjacency", adj)
-        return self._adjacency
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_parties + 1)]
+        for j, (a, b) in enumerate(self.edges, start=1):
+            adj[int(a)].append((int(b), j))
+            adj[int(b)].append((int(a), j))
+        return adj
 
     def incident_sources(self, party: int) -> list[int]:
         """Source indices attached to a party, in ascending order.

@@ -185,17 +185,17 @@ def bipartite(m, corr):
     return f
 
 
-def seesaw_restart(obj, corrs, vecs, sweeps=120, tol=1e-11):
+def seesaw_restart(obj, corrs, all_rows, sweeps=120, tol=1e-11):
     """One network see-saw restart on the correlation matrices corrs from
-    the endpoint rows vecs[i][side], updated in place, one block and one
-    leaf input at a time. Returns its value."""
-    factors = obj.factors(vecs, corrs)
+    the engine's rows (slots, 3), updated in place, one block and one leaf
+    input at a time. Returns its value."""
+    factors = obj.factors(all_rows, corrs)
     value = float(obj.value(factors))
     for _ in range(sweeps):
         for i, ends in enumerate(obj.ends):
             for side, party in enumerate(ends):
-                rows = vecs[i][side]
-                h = obj.block_coeffs(vecs, corrs, factors, i, side)
+                rows = all_rows[obj.spans[i][side]]
+                h = obj.block_coeffs(all_rows, corrs, factors, i, side)
                 if np.abs(h).max() == 0.0:
                     continue
                 h = h / np.abs(h).max()
@@ -207,7 +207,7 @@ def seesaw_restart(obj, corrs, vecs, sweeps=120, tol=1e-11):
                     else:
                         c = np.einsum("yjc,yc->j", h, rows) - h[x] @ rows[x]
                         rows[x] = max_abs_powersum(c, h[x], obj.l, rows[x])
-                factors[i] = obj.factor(vecs, corrs, i)
+                factors[i] = obj.factor(all_rows, corrs, i)
         new_value = float(obj.value(factors))
         if new_value - value < tol:
             return max(value, new_value)

@@ -14,12 +14,13 @@ from netbell.evaluator import (
     SIGMA_X,
     MeasurementStrategy,
     QubitObservable,
+    _catalog_leaf_vectors,
     check_conditions,
     evaluate_S,
     input_counts_for,
     optimal_strategy,
 )
-from netbell.fcbi import CHAINED, CHSH, custom_matrix, make_catalog
+from netbell.fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog
 from netbell.networks import chain_topology, chsh_inequality
 from netbell.optimizer import cross_evaluate, seesaw_network
 from netbell.qstate import (
@@ -225,6 +226,21 @@ def test_conditions_fail_for_misaligned_intermediate(six_party_ineq, phi_plus_st
     assert rep.intermediate_residuals[2][0] > 0.5
 
 
+@pytest.mark.parametrize("v", [1.0, 1e-3, 1e-10])
+def test_alignment_is_relative_to_t0(six_party_ineq, phi_plus_states, v):
+    """Condition two holds |a^T T b| to t0 relative to t0, as I_j is linear
+    in a^T T b. With a Werner state of visibility v on source 2 the auto
+    strategy meets it at every v, and the sigma_x-misaligned pair, which
+    measures I_1 = 0 with residual t0 = v, fails it at every v."""
+    states = {**phi_plus_states, 2: werner(WernerSpec(v))}
+    strategy = optimal_strategy(six_party_ineq, states)
+    assert check_conditions(six_party_ineq, states, strategy).saturated
+    strategy.set(2, 1, 2, SIGMA_X)
+    rep = check_conditions(six_party_ineq, states, strategy)
+    assert not rep.saturated
+    assert rep.intermediate_residuals[2][0] == pytest.approx(v, rel=1e-9)
+
+
 @pytest.mark.parametrize("network", ["six_party", "tree5"])
 def test_conditions_hold_at_seesaw_optima(network, request):
     """The see-saw's optima on |Phi+> attain the bound and meet both
@@ -253,6 +269,61 @@ def test_conditions_ignore_the_sign_of_an_intermediate_pair(six_party_ineq, phi_
     rep = check_conditions(six_party_ineq, phi_plus_states, strategy)
     assert rep.saturated
     np.testing.assert_allclose(rep.intermediate_residuals[2], 0.0, atol=1e-15)
+
+
+def _optimal_reference(ineq, states) -> dict:
+    """optimal_strategy slot by slot: catalog rows on each leaf; on its
+    partner, input j along T^T d_j (T d_j when the leaf is the source's
+    second endpoint), or sigma_z where that vanishes; sigma_z elsewhere."""
+    topo, z = ineq.topology, np.array([0.0, 0.0, 1.0])
+    slots = {
+        (p, x, s): z
+        for p in range(1, topo.n_parties + 1)
+        for x in range(1, input_counts_for(ineq)[p] + 1)
+        for s in topo.incident_sources(p)
+    }
+    for leaf, source in ineq.leaves.peripheral_map.items():
+        m = ineq.fcbi_map[source]
+        a, b = topo.endpoints(source)
+        partner = b if leaf == a else a
+        leaf_rows = _catalog_leaf_vectors(m)
+        for x in range(m.rows):
+            slots[(leaf, x + 1, source)] = leaf_rows[x]
+        corr = states[source].corr
+        for j in range(m.cols):
+            d = sum(m.entries[x, j] * leaf_rows[x] for x in range(m.rows))
+            c = corr.T @ d if leaf == a else corr @ d
+            norm = np.sqrt(c @ c)
+            slots[(partner, j + 1, source)] = c / norm if norm > 1e-14 else z
+    return slots
+
+
+@pytest.mark.parametrize("maps", ["chained3", "asymmetric"])
+def test_optimal_strategy_matches_slot_by_slot_reference(six_party, maps):
+    fcbi_map = (
+        {s: make_catalog(CHAINED, 3) for s in (1, 3, 5)} if maps == "chained3"
+        else {1: make_catalog(EBI), 3: make_catalog(EBI), 5: make_catalog(CHAINED, 4)}
+    )
+    ineq = build_inequality(six_party, 3 if maps == "chained3" else 4, fcbi_map)
+    states = {s: random_mixed(40 + s) for s in range(1, 7)}
+    expected = _optimal_reference(ineq, states)
+    slots = optimal_strategy(ineq, states).slots
+    assert slots.keys() == expected.keys()
+    for key, n in expected.items():
+        np.testing.assert_allclose(slots[key].n, n, rtol=0, atol=1e-15, err_msg=str(key))
+
+
+def test_optimal_strategy_without_correlations_measures_sigma_z(six_party_ineq, phi_plus_states):
+    """White noise on peripheral source 1 leaves its partner no Delta
+    direction to align with, so the partner measures sigma_z there."""
+    states = {**phi_plus_states, 1: werner(WernerSpec(0.0))}
+    strategy = optimal_strategy(six_party_ineq, states)
+    [leaf] = [p for p, s in six_party_ineq.leaves.peripheral_map.items() if s == 1]
+    a, b = six_party_ineq.topology.endpoints(1)
+    partner = b if leaf == a else a
+    for j in (1, 2):
+        np.testing.assert_array_equal(strategy.slots[(partner, j, 1)].n, [0.0, 0.0, 1.0])
+    assert not evaluate_S(six_party_ineq, states, strategy).quantum_saturation
 
 
 # -- many leaves ---------------------------------------------------------------

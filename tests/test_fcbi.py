@@ -527,7 +527,7 @@ def test_seesaw_restarts_are_maxima_or_not_converged(monkeypatch, m, seed):
 
     def recording_ascend(rows, *args):
         val, converged = fcbi_ascend(rows, *args)
-        chunks.append((rows[0].copy(), converged))
+        chunks.append((rows.copy(), converged))
         return val, converged
 
     fcbi_ascend = fcbi._ascend

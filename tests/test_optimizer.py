@@ -28,6 +28,7 @@ from netbell.fcbi import (
     CHSH,
     EBI,
     _ascend,
+    _normalize_rows,
     _sphere_ascent,
     best_of_restarts,
     custom_matrix,
@@ -44,7 +45,6 @@ from netbell.optimizer import (
     LocalModel,
     _CrossObjective,
     _draw,
-    _ends,
     _local_columns,
     _powersum,
     _run_restarts,
@@ -305,17 +305,18 @@ def test_block_coeffs_reproduce_columns(name):
     batch = _starts(obj, np.random.SeedSequence(5).spawn(3))
     for i in range(len(obj.ends)):
         for side in (0, 1):
+            span = obj.spans[i][side]
             h_batch = obj.block_coeffs(batch, corrs, obj.factors(batch, corrs), i, side)
             for b in range(3):
-                vecs = [[rows[b].copy() for rows in ends] for ends in batch]
-                h = obj.block_coeffs(vecs, corrs, obj.factors(vecs, corrs), i, side)
+                rows = batch[b].copy()
+                h = obj.block_coeffs(rows, corrs, obj.factors(rows, corrs), i, side)
                 np.testing.assert_allclose(h_batch[b], h, rtol=0, atol=1e-15)
             for _ in range(2):
-                rows = rng.normal(size=vecs[i][side].shape)
-                vecs[i][side] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-                expected = reference_columns(ineq, host, states, obj.strategy(vecs))
+                u = rng.normal(size=rows[span].shape)
+                rows[span] = u / np.linalg.norm(u, axis=1, keepdims=True)
+                expected = reference_columns(ineq, host, states, obj.strategy(rows))
                 np.testing.assert_allclose(
-                    np.einsum("xjc,xc->j", h, vecs[i][side]), expected, rtol=0, atol=1e-12
+                    np.einsum("xjc,xc->j", h, rows[span]), expected, rtol=0, atol=1e-12
                 )
 
 
@@ -664,16 +665,49 @@ def test_quantum_bounds_on_generated_networks(n, k, extra, seed):
 
 
 def _starts(obj, seeds):
-    """The restarts' starting rows as the engine's vecs[i][side] batches."""
-    return _ends(_draw(obj, [np.random.default_rng(child) for child in seeds]))
+    """The restarts' starting rows, (restarts, slots, 3)."""
+    return _draw(obj, [np.random.default_rng(child) for child in seeds])
 
 
-def _seesaw(obj, corrs, vecs, sweeps=120):
-    """The sweeps of `_run_restarts` on the batch vecs, in place."""
-    rows = [r for ends in vecs for r in ends]
+def test_draw_reads_each_restart_from_its_own_stream():
+    """Restart r of a chunk is one normal draw of the whole layout from child
+    r's stream, its rows normalized, bit for bit."""
+    ineq, host = _case("tree5_on_ring5")
+    obj = _CrossObjective(ineq, host)
+    seeds = np.random.SeedSequence(7).spawn(3)
+    rows = _starts(obj, seeds)
+    assert rows.shape == (3, len(obj.slot_keys), 3)
+    for start, child in zip(rows, seeds):
+        draw = np.random.default_rng(child).normal(size=(len(obj.slot_keys), 3))
+        assert start.tobytes() == _normalize_rows(draw).tobytes()
+
+
+@pytest.mark.parametrize("name", ["six_party_asymmetric", "tree5_on_ring5"])
+def test_strategy_of_gathered_rows_is_the_strategy(name):
+    """gather reads every slot, bit for bit, in slot-key order, and strategy
+    writes the rows back: the same slots, in slot-key order, with the same
+    vectors up to the rounding of their renormalization. The first objective
+    is an inequality's own; on the ring host every tree5 leaf has two host
+    sources, and so an einsum label."""
+    ineq, host = _case(name)
+    obj = _CrossObjective(ineq, host)
+    if host is ineq.topology:
+        obj = evaluator._own_objective(ineq)
+    strategy = _random_strategy(ineq, host, np.random.default_rng(4))
+    assert strategy.slots.keys() == set(obj.slot_keys)
+    rows = obj.gather(strategy)
+    assert rows.tobytes() == np.array([strategy.slots[k].n for k in obj.slot_keys]).tobytes()
+    back = obj.strategy(rows)
+    assert list(back.slots) == obj.slot_keys
+    for key, obs in back.slots.items():
+        np.testing.assert_allclose(obs.n, strategy.slots[key].n, rtol=0, atol=2**-52)
+
+
+def _seesaw(obj, corrs, rows, sweeps=120):
+    """The sweeps of `_run_restarts` on the batch of rows, in place."""
     return _ascend(
         rows,
-        lambda r: obj.value(obj.factors(_ends(r), corrs)),
+        lambda r: obj.value(obj.factors(r, corrs)),
         lambda r: _sweep(obj, corrs, r),
         sweeps,
         1e-11,
@@ -704,7 +738,7 @@ def test_restarts_are_independent(name):
     for child, value in zip(seeds, history):
         alone, _ = _seesaw(obj, corrs, _starts(obj, [child]))
         assert value == pytest.approx(alone[0], abs=1e-12)
-        rows = [[r[0] for r in ends] for ends in _starts(obj, [child])]
+        rows = _starts(obj, [child])[0]
         assert value == pytest.approx(seesaw_restart(obj, corrs, rows), abs=1e-9)
 
 
@@ -718,18 +752,15 @@ def test_stopped_restart_keeps_its_rows():
     seeds = np.random.SeedSequence(0).spawn(6)
     _, early = _seesaw(obj, corrs, _starts(obj, seeds), sweeps=16)
     assert early.any() and not early.all()
-    vecs = _starts(obj, seeds)
-    value, converged = _seesaw(obj, corrs, vecs)
+    rows = _starts(obj, seeds)
+    value, converged = _seesaw(obj, corrs, rows)
     assert converged.all()
     for r in np.flatnonzero(early):
         alone = _starts(obj, [seeds[r]])
         alone_value, _ = _seesaw(obj, corrs, alone)
         assert value[r] == pytest.approx(alone_value[0], abs=1e-12)
-        for ends, alone_ends in zip(vecs, alone):
-            for rows, alone_rows in zip(ends, alone_ends):
-                np.testing.assert_allclose(rows[r], alone_rows[0], rtol=0, atol=1e-12)
-        rows_r = [[rows[r] for rows in ends] for ends in vecs]
-        assert obj.value(obj.factors(rows_r, corrs)) == pytest.approx(value[r], abs=1e-12)
+        np.testing.assert_allclose(rows[r], alone[0], rtol=0, atol=1e-12)
+        assert obj.value(obj.factors(rows[r], corrs)) == pytest.approx(value[r], abs=1e-12)
 
 
 def test_restart_chunks_do_not_change_the_search(monkeypatch):
@@ -756,16 +787,16 @@ def test_restart_seeds_are_spawned_chunk_by_chunk():
 
     def draw(rngs):
         last_draws.append(rngs[-1].random())
-        return [np.zeros(len(rngs))]
+        return np.zeros(len(rngs))
 
     def sweep(rows):
-        return np.zeros(len(rows[0])), np.ones(len(rows[0]), dtype=bool)
+        return np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
 
     restarts = 2 * 10**4
     tracemalloc.start()
     try:
         _, _, history, _ = best_of_restarts(
-            draw, lambda rows: np.zeros(len(rows[0])), sweep, restarts, 0, 120, 1e-11
+            draw, lambda rows: np.zeros(len(rows)), sweep, restarts, 0, 120, 1e-11
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
