@@ -4,20 +4,24 @@ For traceless qubit observables on a product of two-qubit states, every
 column correlator I_j is a tensor-network contraction of the per-source
 correlation matrices. `contract` runs every contraction in the package,
 the local-model oracle's too, as a greedy path planned once per labels and
-shapes. In `_CrossObjective` each source enters as its factor
-F_s = U_a T_s U_b^T, one row of Bloch vectors per endpoint input.
+shapes. In `_CrossObjective` each source s enters as U_a T_s U_b^T of
+its two endpoints' Bloch rows. An endpoint is of one of two kinds: a
+column endpoint has one row per column j (an intermediate party's input
+j, or the Delta vector d_j of a leaf with one host source); a lettered
+leaf, one with several host sources, has one row per input and a label
+of its own.
 
 A `_CrossObjective` holds only what depends on its (target, host) pair:
-endpoints, roles, folds, labels, leaf weights, input counts, the slot keys
-in the order its arrays read them, and the plan of its contraction. States
-enter every call as their correlation matrices, and a strategy is one
-array of Bloch rows in slot-key order, read by `gather` and written by
-`strategy`: `evaluate_S`, `check_conditions`, `optimal_strategy` and the
-network see-saw all hold it so. An inequality keeps the objective on its
-own network (`_own_objective`), built on first use; `evaluate_S`,
-`check_conditions`, `input_counts_for` and `optimizer.seesaw_network`
-reuse it, while `optimizer.discriminate` and `optimizer.cross_evaluate`
-build one per call.
+endpoints, their Delta maps and labels, leaf weights, input counts, the
+slot keys in the order its arrays read them, and the plan of its
+contraction. States enter every call as their correlation matrices, and a
+strategy is one array of Bloch rows in slot-key order, read by `gather`
+and written by `strategy`: `evaluate_S`, `check_conditions`,
+`optimal_strategy` and the network see-saw all hold it so. An inequality
+keeps the objective on its own network (`_own_objective`), built on first
+use; `evaluate_S`, `check_conditions`, `input_counts_for` and
+`optimizer.seesaw_network` reuse it, while `optimizer.discriminate` and
+`optimizer.cross_evaluate` build one per call.
 
 `check_conditions` decides rank one or a zero column by `_product_form`,
 as `analysis.mahler_check` does, to one relative tolerance; it compares
@@ -218,24 +222,6 @@ def _plan(labels, cores, out) -> list:
 # Labels of target leaves with several host sources; label 0 is the column j.
 _LEAF_LABELS = 51
 
-# Operand of a source by the roles of its endpoints (a, b): "j" for an
-# intermediate, "l" for a leaf with its own label, "f" for a leaf whose
-# only host source this is. Each entry is the einsum that reduces
-# F[x_a, x_b] and the folded leaves' weights to R (None: R = F), and the
-# axes of R, with a and b standing for the endpoints' leaf labels. No source
-# has two "f" endpoints: outside a two-party network, which build_inequality
-# refuses, such a source would leave its host disconnected.
-_OPERANDS = {
-    ("j", "j"): ("...jj->...j", "j"),
-    ("j", "l"): (None, "jb"),
-    ("j", "f"): ("...jy,yj->...j", "j"),
-    ("l", "j"): (None, "aj"),
-    ("l", "l"): (None, "ab"),
-    ("l", "f"): ("...ay,yj->...aj", "aj"),
-    ("f", "j"): ("...xj,xj->...j", "j"),
-    ("f", "l"): ("...xb,xj->...bj", "bj"),
-}
-
 
 class _CrossObjective:
     """S of a target inequality evaluated on strategies of a host network.
@@ -246,8 +232,8 @@ class _CrossObjective:
     `_own_objective` builds once per inequality and keeps on it.
 
     Everything held here depends on (target, host) alone and is built once:
-    endpoints, roles, folds, labels, leaf weights, input counts, slot keys
-    and, on the first `columns` call, the contraction plan. No state is
+    endpoints, their Delta maps and labels, leaf weights, input counts, slot
+    keys and, on the first `columns` call, the contraction plan. No state is
     held: states enter each call as corrs, the list of their correlation
     matrices T_i in host source order (`corrs`).
 
@@ -256,15 +242,22 @@ class _CrossObjective:
     by source, each endpoint's inputs in turn. The rows U_a, U_b of host
     source i + 1 with endpoints (a, b) are rows[spans[i][0]] and
     rows[spans[i][1]]. `gather` reads a strategy into rows and `strategy`
-    writes rows back. Source i enters the contraction as its operand R_i:
-    the factor F_i = U_a T_i U_b^T with the weights M_p[:, j] of every
-    target leaf p whose only host source it is summed in, and the diagonal
-    taken where both axes carry the column index j. `columns` contracts the
-    R_i and the weights of the leaves with several host sources (a host
-    other than the target can have them; each takes a label) along a
-    planned path.
-    Every I_j is linear in each endpoint's rows, so the block coefficients
-    of an endpoint are the same contraction evaluated at unit rows.
+    writes rows back.
+
+    Every endpoint is of one of two kinds:
+    - a column endpoint, on label 0, with k rows: a target intermediate,
+      whose row j is its input j, or a target leaf p whose only host
+      source this is, seen through its Delta map, the k rows M_p^T U_p;
+    - a lettered leaf, a target leaf with several host sources (a host
+      other than the target can have them), on a label of its own, with
+      one row per input; its weights M_p[x, j] are an operand of their own.
+    Source i enters the contraction as its operand R_i = U_a T_i U_b^T,
+    labelled by its two endpoints; between two column endpoints only the
+    diagonal, the k-vector of row-wise dots, is formed. `columns` contracts
+    the R_i and the lettered leaves' weights along a planned path. Every
+    I_j is linear in each endpoint's rows, and the Delta map is linear, so
+    the block coefficients of an endpoint are the same contraction
+    evaluated at unit rows.
 
     Every array may carry leading batch axes, one strategy per leading
     index: rows of shape (..., slots, 3) give operands and columns of
@@ -294,21 +287,17 @@ class _CrossObjective:
                 f"{len(lettered)} leaves with several host sources exceed the "
                 f"{_LEAF_LABELS} einsum indices"
             )
-        index = {p: n for n, p in enumerate(lettered, start=1)}
-        role = dict.fromkeys(self.intermediate, "j")
-        role.update(dict.fromkeys(lettered, "l"))
-        self._weights = [(leaf_weights[p], [index[p], 0]) for p in lettered]
+        label = {p: n for n, p in enumerate(lettered, start=1)}
+        self._weights = [(leaf_weights[p], [label[p], 0]) for p in lettered]
         self._path = None  # contract's plan for `columns`, taken on its first call
 
+        # Every other leaf has one host source and is a column endpoint
+        # through its Delta map M^T.
+        delta = {p: w.T for p, w in leaf_weights.items() if p not in label}
         self.ends = [tuple(e) for e in host.edges.tolist()]
-        self._folds, self._labels = [], []
-        for i, (a, b) in enumerate(self.ends):
-            roles = role.get(a, "f"), role.get(b, "f")
-            spec, axes = _OPERANDS[roles]
-            folded = [leaf_weights[p] for p, r in zip((a, b), roles) if r == "f"]
-            self._folds.append(None if spec is None else (spec, folded))
-            labels = {"a": index.get(a), "b": index.get(b), "j": 0}
-            self._labels.append([..., *(labels[c] for c in axes)])
+        self._deltas = [(delta.get(a), delta.get(b)) for a, b in self.ends]
+        axes = [(label.get(a, 0), label.get(b, 0)) for a, b in self.ends]
+        self._labels = [[..., *ab] if any(ab) else [..., 0] for ab in axes]
 
         # Endpoint (i, side) owns the slot keys, and so the rows on axis -2,
         # that spans[i][side] selects.
@@ -349,13 +338,14 @@ class _CrossObjective:
         })
 
     def _source_operand(self, ends, corr: np.ndarray, i: int) -> np.ndarray:
-        """R_i from the endpoint rows (U_a, U_b) of source i: the factor
-        F_i = U_a T_i U_b^T, the folded leaves summed in, diagonal taken."""
-        f = ends[0] @ corr @ ends[1].swapaxes(-1, -2)
-        if self._folds[i] is None:
-            return f
-        spec, folded = self._folds[i]
-        return np.einsum(spec, f, *folded)
+        """R_i = U_a T_i U_b^T from the endpoint rows (U_a, U_b) of source i,
+        a single-source leaf's rows taken through its Delta map. Between two
+        column endpoints only the diagonal is formed, as the row-wise dot
+        sum_c (U_a T_i)[j, c] U_b[j, c], one (1, 3) by (3, 1) product per j."""
+        a, b = (u if d is None else d @ u for u, d in zip(ends, self._deltas[i]))
+        if self._labels[i] == [..., 0]:
+            return ((a @ corr)[..., None, :] @ b[..., None])[..., 0, 0]
+        return a @ corr @ b.swapaxes(-1, -2)
 
     def factor(self, rows: np.ndarray, corrs, i: int) -> np.ndarray:
         """The operand R_i of source i."""
@@ -375,8 +365,12 @@ class _CrossObjective:
         return _run(self._path, [*factors, *(w for w, _ in self._weights)])
 
     def value(self, factors) -> np.ndarray:
+        """S of the columns of these factors, one value per leading index."""
+        return self.combine(self.columns(factors))
+
+    def combine(self, columns) -> np.ndarray:
         """S = sum_j |I_j|^(1/l), one value per leading index."""
-        return np.sum(np.abs(self.columns(factors)) ** (1.0 / self.l), axis=-1)
+        return np.sum(np.abs(columns) ** (1.0 / self.l), axis=-1)
 
     def block_coeffs(self, rows: np.ndarray, corrs, factors, i: int, side: int) -> np.ndarray:
         """H with I_j = sum_x H[..., x, j] . U[..., x] for the rows U of
@@ -471,7 +465,7 @@ def evaluate_S(
         ])
     else:
         raise ValueError(f"unknown evaluation method {method!r}")
-    S = float(np.abs(I) ** (1.0 / ineq.l) @ np.ones(ineq.k))
+    S = float(obj.combine(I))
     return EvaluationResult(
         I=I,
         S=S,

@@ -152,6 +152,21 @@ def test_tensor_oracle_matches_engine_on_generated_networks(seed):
     np.testing.assert_allclose(ten, fac, rtol=1e-12, atol=0)
 
 
+def test_evaluate_S_is_the_engine_S_bit_for_bit(six_party):
+    """evaluate_S and the engine combine the columns into S by one formula.
+    Chained-9 on six_party has columns enough that a sum in another order
+    moves the last bit; on 200 random mixed states and strategies S equals
+    cross_evaluate on the inequality's own network bit for bit."""
+    ineq = build_inequality(six_party, 9, dict.fromkeys((1, 3, 5), make_catalog(CHAINED, 9)))
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        states = {s: random_mixed(int(rng.integers(0, 2**31))) for s in range(1, 7)}
+        strategy = _random_strategy(ineq, rng)
+        assert evaluate_S(ineq, states, strategy).S == cross_evaluate(
+            ineq, six_party, states, strategy
+        )
+
+
 def test_tensor_oracle_refuses_fourteen_sources():
     ineq = chsh_inequality(chain_topology(15))
     states = {s: max_entangled() for s in range(1, 15)}
@@ -160,6 +175,7 @@ def test_tensor_oracle_refuses_fourteen_sources():
         evaluate_S(ineq, states, strategy, method="tensor")
 
 
+@pytest.mark.memory
 def test_tensor_oracle_memory(six_party_ineq, phi_plus_states):
     strategy = optimal_strategy(six_party_ineq, phi_plus_states)
     tracemalloc.start()
@@ -368,11 +384,11 @@ def test_many_leaf_star_matches_correlator():
 
 
 def test_seesaw_many_leaf_star():
-    """A leaf with a single host source is summed into that source's operand,
-    so a 52-leaf star needs no einsum index of its own. From random starts
-    the block coefficients shrink geometrically with the leaf count, far below
-    the updates' absolute floors, so the see-saw must not depend on their
-    scale."""
+    """A leaf with a single host source enters that source's operand through
+    its Delta rows, so a 52-leaf star needs no einsum index of its own. From
+    random starts the block coefficients shrink geometrically with the leaf
+    count, far below the updates' absolute floors, so the see-saw must not
+    depend on their scale."""
     for leaves in (30, 51, 52):
         states = {s: max_entangled() for s in range(1, leaves + 1)}
         rep = seesaw_network(_star(leaves), states, restarts=1, seed=0)

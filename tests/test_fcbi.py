@@ -84,6 +84,7 @@ def test_classical_bound_cap():
         classical_bound(np.ones((25, 2)))
 
 
+@pytest.mark.memory
 def test_classical_bound_matches_direct_enumeration():
     # 18 rows span several blocks of sign assignments.
     m = np.random.default_rng(7).normal(size=(18, 3))

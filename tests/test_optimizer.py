@@ -131,6 +131,7 @@ def _custom_20_row_leaf():
 
 # A CHSH leaf's Delta row has one nonzero column, so next to it the best is
 # the root of the custom leaf's largest column sum, 10.
+@pytest.mark.memory
 @pytest.mark.parametrize(
     "make, best", [(_chained_11_pair, 10.0), (_custom_20_row_leaf, np.sqrt(10.0))]
 )
@@ -286,6 +287,44 @@ def test_cross_evaluate_random_trees(n, k, host_cycle, seed):
     assert cross_evaluate(ineq, host, states, strategy) == pytest.approx(
         reference_S(ineq, host, states, strategy), abs=1e-12
     )
+
+
+def test_cross_evaluate_reaches_every_endpoint_kind_pair():
+    """80 generated pairs: a random 4- to 7-party target tree with chained-3
+    on its peripheral sources, and a host that is another random tree on
+    the same parties with up to two extra sources and every source's
+    endpoints in random order. A host endpoint is an intermediate of the
+    target ("column"), a target leaf with one host source ("delta") or one
+    with several ("lettered"); every ordered pair of kinds that a connected
+    host allows occurs, and S equals the scalar reference to 1e-12."""
+    rng = np.random.default_rng(28)
+    seen = set()
+    for _ in range(80):
+        n = int(rng.integers(4, 8))
+        target = build_topology(n, _random_tree(n, rng))
+        ineq = build_inequality(
+            target, 3, dict.fromkeys(find_leaves(target).peripheral_set, make_catalog(CHAINED, 3))
+        )
+        edges = _random_tree(n, rng)
+        missing = [(a, b) for a, b in combinations(range(1, n + 1), 2)
+                   if (a, b) not in edges and (b, a) not in edges]
+        edges += [missing[i] for i in rng.permutation(len(missing))[:rng.integers(0, 3)]]
+        host = build_topology(n, [e[::-1] if rng.random() < 0.5 else e for e in edges])
+
+        def kind(p):
+            if p in ineq.leaves.intermediate_set:
+                return "column"
+            return "delta" if host.degrees[p - 1] == 1 else "lettered"
+
+        seen.update((kind(a), kind(b)) for a, b in host.edges.tolist())
+        states = {s: random_mixed(int(rng.integers(2**31))) for s in range(1, host.n_sources + 1)}
+        strategy = _random_strategy(ineq, host, rng)
+        np.testing.assert_allclose(
+            cross_evaluate(ineq, host, states, strategy),
+            reference_S(ineq, host, states, strategy), rtol=1e-12, atol=0,
+        )
+    kinds = ("column", "delta", "lettered")
+    assert seen == {(a, b) for a in kinds for b in kinds} - {("delta", "delta")}
 
 
 @pytest.mark.parametrize(
@@ -778,6 +817,7 @@ def test_restart_chunks_do_not_change_the_search(monkeypatch):
     assert chunked.converged == whole.converged
 
 
+@pytest.mark.memory
 def test_restart_seeds_are_spawned_chunk_by_chunk():
     """With a stubbed draw and sweep, 2 * 10^4 restarts stay far below the
     7.5 MB that spawning every child SeedSequence (about 376 B each) before

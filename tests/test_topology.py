@@ -127,6 +127,7 @@ def test_isolated_party_rejected():
             build_topology(n, edges)
 
 
+@pytest.mark.memory
 def test_isolated_party_memory_follows_sources():
     # A per-party degree array for 2 * 10**7 parties would take 160 MB.
     tracemalloc.start()
@@ -139,6 +140,7 @@ def test_isolated_party_memory_follows_sources():
     assert peak < 2**20
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("shape", ["tree", "chain"])
 def test_build_memory_follows_edges(shape):
     """build_topology on 10^5 parties peaks at five times the edge array
