@@ -11,6 +11,7 @@ bound uses their quantum optima instead.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,14 +133,22 @@ def build_inequality(
         )
     if k < 1:
         raise ColumnMismatchError("intermediate input count k must be positive")
-    for s, m in fcbi_map.items():
-        if m.cols != k:
-            raise ColumnMismatchError(
-                f"FCBI for source {s} has {m.cols} columns, expected k={k}"
-            )
-
-    betas = [m.classical_bound for m in maps]
-    opts = [m.quantum_opt for m in maps]
+    # Each distinct map object is checked and read once: on a large network
+    # every leaf may share one. One pass keeps, for each map object, the
+    # index of the first source that carries it, and gives every source that
+    # index; `which` then numbers each source's map among the distinct ones.
+    first: dict[int, int] = {}
+    which = np.fromiter(
+        map(first.setdefault, map(id, maps), itertools.count()), np.intp, len(maps)
+    )
+    starts = list(first.values())
+    distinct = [maps[i] for i in starts]
+    if any(m.cols != k for m in distinct):
+        s, m = next((s, m) for s, m in fcbi_map.items() if m.cols != k)
+        raise ColumnMismatchError(f"FCBI for source {s} has {m.cols} columns, expected k={k}")
+    which = np.searchsorted(starts, which)
+    betas = np.array([m.classical_bound for m in distinct], dtype=float)[which]
+    opts = np.array([m.quantum_opt for m in distinct], dtype=float)[which]
     return NetworkInequality(
         topology=topology,
         leaves=leaves,

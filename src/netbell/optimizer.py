@@ -33,6 +33,7 @@ dirichlet and integers(0, 2) calls, in fewer passes over the same stream.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,10 @@ def classical_oracle(
     random: budgeted random mixtures - Dirichlet weights over each source
     alphabet and random +/-1 response tables, averaged over the hidden
     product alphabet.
+
+    Raises ValueError for an unknown mode and, in random mode, for a budget
+    that is not a non-negative integer or a cardinality that is not a
+    positive integer for one of the network's sources.
     """
     if mode == "exhaustive":
         return _oracle_exhaustive(ineq)
@@ -360,21 +365,44 @@ def _draw_models(rng, n, cards, shapes):
     axis of a contiguous (c, n) array is sequential too, where a sum along
     a row would be pairwise. integers(0, 2) takes one 32-bit draw per value
     and returns its top bit (Lemire's method never rejects for a range of
-    2), so one uint32 draw covers every table, in the same order.
+    2). PCG64 hands out its 32-bit draws two to a 64-bit word, low half
+    first, and keeps an odd one's other half for the next 32-bit draw, so
+    ceil(signs / 2) raw words give every table's signs in the same order
+    as long as no half is left over from an earlier call: the caller draws
+    an even number of signs in every chunk but the last.
     """
     weights = {}
     for s, c in cards.items():
         e = np.ascontiguousarray(rng.standard_exponential((n, c)).T)
         e *= 1.0 / e.sum(axis=0)
         weights[s] = e
-    sizes = [n * int(np.prod(shape)) for shape in shapes.values()]
-    top = np.greater_equal(rng.integers(0, 2**32, sum(sizes), dtype=np.uint32), 2**31)
-    signs = top.view(np.int8) * np.int8(2)
-    signs -= 1
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    total = n * sum(sizes)
+    # Little-endian words read as int32 give the low half first on any
+    # machine; ~x >> 31 | 1 is +1 where x's top bit is set and -1 elsewhere.
+    signs = rng.bit_generator.random_raw(-(-total // 2)).astype("<u8", copy=False).view("<i4")
+    np.invert(signs, out=signs)
+    signs >>= 31
+    signs |= 1
     responses = {}
-    for (p, shape), part in zip(shapes.items(), np.split(signs, np.cumsum(sizes)[:-1])):
-        responses[p] = np.moveaxis(part.reshape(n, *shape), 0, -1).astype(float, order="C")
+    start = 0
+    for (p, shape), size in zip(shapes.items(), sizes):
+        table = np.empty((size, n))
+        table[...] = signs[start:start + n * size].reshape(n, size).T
+        responses[p] = table.reshape(*shape, n)
+        start += n * size
     return weights, responses
+
+
+def _whole(value, what: str, least: int) -> int:
+    """value as an int, if it is an integer (not a float) of at least `least`."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if out < least:
+        raise ValueError(f"{what} must be at least {least}, got {out}")
+    return out
 
 
 def _oracle_random(
@@ -385,9 +413,16 @@ def _oracle_random(
 ) -> SearchReport:
     topology = ineq.topology
     sources = list(range(1, topology.n_sources + 1))
+    budget = _whole(budget, "budget", 0)
     cards = {s: 2 for s in sources}
-    if cardinalities:
-        cards.update({int(s): int(c) for s, c in cardinalities.items()})
+    for s, c in (cardinalities or {}).items():
+        source = _whole(s, "cardinality source", 1)
+        if source > topology.n_sources:
+            raise ValueError(
+                f"cardinality given for source {source}; the network has "
+                f"{topology.n_sources} sources"
+            )
+        cards[source] = _whole(c, f"cardinality of source {source}", 1)
     space = int(np.prod([cards[s] for s in sources]))
     if space > HIDDEN_SPACE_CAP:
         raise TooLargeForExhaustiveError(
@@ -403,6 +438,7 @@ def _oracle_random(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     best_value, best_model = -np.inf, None
+    # An even chunk draws an even number of signs (see `_draw_models`).
     chunk = 4096
     done = 0
     while done < budget:

@@ -10,7 +10,7 @@ from netbell.errors import (
     MissingFcbiError,
     TooFewLeavesError,
 )
-from netbell.fcbi import CHAINED, CHSH, EBI, make_catalog, state_max
+from netbell.fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog, state_max
 from netbell.qstate import WernerSpec, random_mixed, werner
 from netbell.topology import build_topology
 
@@ -60,6 +60,31 @@ def test_rejects_column_mismatch(six_party):
     fcbi = {s: make_catalog(CHSH) for s in (1, 3, 5)}
     with pytest.raises(ColumnMismatchError):
         build_inequality(six_party, 3, fcbi)
+
+
+def test_many_leaves_with_mixed_maps():
+    """A star with 2000 leaves whose sources carry two map objects, CHSH and
+    a 2-column custom matrix, shuffled: both bounds equal, bit for bit, the
+    geometric mean of the per-leaf values in sorted-source order. A shared
+    3-column map on two sources is reported at the first of them in fcbi_map
+    order, which here is not the smaller source."""
+    leaves = 2000
+    topo = build_topology(leaves + 1, [(1, p) for p in range(2, leaves + 2)])
+    maps = (make_catalog(CHSH), custom_matrix(np.array([[1.0, 0.25], [0.5, -1.0]]), restarts=2))
+    rng = np.random.default_rng(0)
+    sources = rng.permutation(np.arange(1, leaves + 1)).tolist()
+    fcbi_map = {s: maps[int(i)] for s, i in zip(sources, rng.integers(0, 2, leaves))}
+    assert {id(m) for m in fcbi_map.values()} == {id(m) for m in maps}
+    ineq = build_inequality(topo, 2, fcbi_map)
+    per_leaf = [fcbi_map[s] for s in sorted(fcbi_map)]
+    assert ineq.classical_bound == builder._geomean([m.classical_bound for m in per_leaf], leaves)
+    assert ineq.quantum_bound == builder._geomean([m.quantum_opt for m in per_leaf], leaves)
+
+    first, second = sources[10], sources[20]
+    assert first > second
+    wide = make_catalog(CHAINED, 3)
+    with pytest.raises(ColumnMismatchError, match=rf"^FCBI for source {first} has 3 columns"):
+        build_inequality(topo, 2, {**fcbi_map, first: wide, second: wide})
 
 
 def test_term_description(six_party_ineq):

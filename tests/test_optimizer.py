@@ -169,6 +169,24 @@ def test_oracle_unknown_mode(bilocal):
         classical_oracle(bilocal, mode="annealing")
 
 
+@pytest.mark.parametrize(
+    "cardinalities, budget, message",
+    [
+        ({1: 0}, 10, "cardinality of source 1 must be at least 1"),
+        ({1: -2}, 10, "cardinality of source 1 must be at least 1"),
+        ({1: 2.7}, 10, "cardinality of source 1 must be an integer"),
+        ({99: 3}, 10, "cardinality given for source 99"),
+        (None, -5, "budget must be at least 0"),
+    ],
+    ids=["empty", "negative", "fractional", "unknown_source", "negative_budget"],
+)
+def test_oracle_random_rejects_bad_input(bilocal, cardinalities, budget, message):
+    """An empty, negative, fractional or unknown source alphabet and a
+    negative budget are refused before any model is drawn."""
+    with pytest.raises(ValueError, match=message):
+        classical_oracle(bilocal, cardinalities, mode="random", budget=budget)
+
+
 def test_explicit_cross_strategy(tree5, chain5):
     ineq = chsh_inequality(tree5)
     states = {s: max_entangled() for s in range(1, 5)}
@@ -580,6 +598,55 @@ def test_model_draws_follow_numpy_streams(monkeypatch):
             signs = rng.integers(0, 2, (n, *responses[p].shape[:-1]), dtype=np.int64) * 2 - 1
             assert np.array_equal(responses[p], np.moveaxis(signs, 0, -1))
             assert responses[p].dtype == np.float64 and responses[p].flags.c_contiguous
+
+
+def test_model_draws_follow_numpy_streams_odd_last_chunk(monkeypatch):
+    """An alphabet of 3 on source 1, which joins EBI leaf 1 (3 inputs) to
+    party 2, gives the leaf 9 signs per model and every other party an even
+    count, so the 17-model last chunk draws an odd number of signs and ends
+    halfway through a 64-bit word. Its draws still equal numpy's, bit for
+    bit."""
+    drawn = []
+    draw = optimizer._draw_models
+
+    def record(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(optimizer, "_draw_models", record)
+    classical_oracle(_asymmetric(), {1: 3}, mode="random", budget=4096 + 17, seed=5)
+    counts = [sum(r.size for r in responses.values()) for _, responses in drawn]
+    assert [c % 2 for c in counts] == [0, 1]
+
+    cards = {s: 3 if s == 1 else 2 for s in range(1, 7)}
+    rng = np.random.default_rng(np.random.SeedSequence(5))
+    for weights, responses in drawn:
+        n = weights[1].shape[-1]
+        for s in sorted(cards):
+            assert np.array_equal(weights[s], rng.dirichlet(np.ones(cards[s]), n).T)
+        for p in sorted(responses):
+            signs = rng.integers(0, 2, (n, *responses[p].shape[:-1]), dtype=np.int64) * 2 - 1
+            assert np.array_equal(responses[p], np.moveaxis(signs, 0, -1))
+            assert responses[p].dtype == np.float64 and responses[p].flags.c_contiguous
+
+
+@pytest.mark.memory
+def test_oracle_random_memory():
+    """The oracle's memory does not grow with its budget: 100 chunks and a
+    17-model tail on six_party_asymmetric peak within 1.5 times the traced
+    peak of a single chunk, and within 20% of the 10.2 MiB that drawing
+    each chunk's signs through rng.integers peaked at."""
+    ineq = _asymmetric()
+    peaks = []
+    for budget in (4096, 100 * 4096 + 17):
+        tracemalloc.start()
+        try:
+            classical_oracle(ineq, mode="random", budget=budget, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+    assert peaks[1] <= 1.2 * 10.2 * 2**20, peaks
 
 
 def test_random_oracle_draws_are_pinned():
