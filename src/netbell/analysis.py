@@ -112,7 +112,7 @@ def werner_violation_threshold(
             shared by all of them.
     """
     threshold = _bound_ratio(ineq) ** ineq.l
-    for s in sorted(ineq.leaves.peripheral_set):
+    for s in ineq.map_sources.tolist():
         a = schmidt[s] if isinstance(schmidt, dict) else schmidt
         if abs(a - MAX_SCHMIDT) > 1e-12:
             m = ineq.fcbi_map[s]

@@ -11,8 +11,9 @@ bound uses their quantum optima instead.
 from __future__ import annotations
 
 import functools
-import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,20 +36,39 @@ class NetworkInequality:
     bounds: a Holder upper bound on S over local models, attained when every
     leaf carries the same map and possibly loose for mixed maps.
 
+    The FCBIs are kept as they were at build time, as arrays over the
+    peripheral sources in ascending order, `map_sources`: `maps` holds each
+    distinct map object once, in the order of the first source that carries
+    it, and `map_index` numbers, per source, its map in `maps`. `fcbi_map`
+    is the read-only source -> map view of them. The two arrays stay out of
+    `==` and `repr`.
+
     What depends on the inequality alone is derived on first use and kept
     on the instance, as `NetworkTopology.adjacency` is, and never a state:
-    the intermediate sources, and the evaluator's structure on the
-    inequality's own network (`evaluator._own_objective`), which
-    `evaluate_S`, `check_conditions` and `seesaw_network` reuse.
+    the `fcbi_map` view, the intermediate sources, and the evaluator's
+    structure on the inequality's own network (`evaluator._own_objective`),
+    which `evaluate_S`, `check_conditions` and `seesaw_network` reuse.
     """
 
     topology: NetworkTopology
     leaves: LeafAnalysis
     k: int
-    fcbi_map: dict[int, CoefficientMatrix]
+    maps: tuple[CoefficientMatrix, ...]
+    map_sources: np.ndarray = field(compare=False, repr=False)
+    map_index: np.ndarray = field(compare=False, repr=False)
     classical_bound: float
     quantum_bound: float
     _objective: object = field(default=None, init=False, compare=False, repr=False)
+
+    @functools.cached_property
+    def fcbi_map(self) -> Mapping[int, CoefficientMatrix]:
+        """Peripheral source -> its FCBI, ascending, as a read-only dict view.
+
+        Built on first read; every later read is a dict lookup.
+        """
+        return MappingProxyType(
+            dict(zip(self.map_sources.tolist(), map(self.maps.__getitem__, self.map_index.tolist())))
+        )
 
     @property
     def l(self) -> int:  # noqa: E743
@@ -105,10 +125,18 @@ def build_inequality(
     leaf carries the same map; with mixed maps the local maximum (see
     `optimizer.classical_oracle`) may lie below it.
 
+    fcbi_map is keyed by source; a key that equals a peripheral source as a
+    Python number (3, np.int64(3), 3.0, True for source 1) stands for it.
+    The topology's leaf analysis (`find_leaves`) is reused, and fcbi_map is
+    not copied: each peripheral source is looked up once, in ascending
+    order, and each distinct map object is checked and read once, so a large
+    network costs a few array passes over its peripheral sources.
+
     Raises:
         TooFewLeavesError: fewer than two leaf nodes.
         DegenerateBipartiteError: two-party network (plain FCBI territory).
-        MissingFcbiError: fcbi_map does not cover exactly the peripheral sources.
+        MissingFcbiError: fcbi_map does not cover exactly the peripheral
+            sources, whatever the type of its keys.
         ColumnMismatchError: some FCBI column count differs from k.
     """
     if topology.n_parties == 2:
@@ -122,41 +150,57 @@ def build_inequality(
         )
     # In a connected network of more than two parties no source joins two
     # leaves, so the sorted peripheral sources are distinct.
-    peripheral = np.sort(leaves.peripheral_sources).tolist()
+    sources = np.sort(leaves.peripheral_sources)
+    keys = sources.tolist()
     try:
-        maps = list(map(fcbi_map.__getitem__, peripheral))
+        per_source = list(map(fcbi_map.__getitem__, keys))
     except KeyError:
-        maps = None
-    if maps is None or len(fcbi_map) != len(peripheral):
+        per_source = None
+    if per_source is None or len(fcbi_map) != len(keys):
         raise MissingFcbiError(
-            f"fcbi_map must cover exactly the peripheral sources {peripheral}, got {sorted(fcbi_map)}"
+            f"fcbi_map must cover exactly the peripheral sources {keys}, got {_key_list(fcbi_map)}"
         )
     if k < 1:
         raise ColumnMismatchError("intermediate input count k must be positive")
     # Each distinct map object is checked and read once: on a large network
-    # every leaf may share one. One pass keeps, for each map object, the
-    # index of the first source that carries it, and gives every source that
-    # index; `which` then numbers each source's map among the distinct ones.
-    first: dict[int, int] = {}
-    which = np.fromiter(
-        map(first.setdefault, map(id, maps), itertools.count()), np.intp, len(maps)
-    )
-    starts = list(first.values())
-    distinct = [maps[i] for i in starts]
-    if any(m.cols != k for m in distinct):
+    # every leaf may share one. A stable sort of the ids of the maps, which
+    # `per_source` keeps alive, groups the sources of each object behind its
+    # first source, `starts`; `which` numbers each source's map among the
+    # distinct ones in the order of their first sources, so that neither
+    # `maps` nor `which` depends on where the objects lie in memory.
+    ids = np.fromiter(map(id, per_source), np.intp, len(per_source))
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    starts = order[first]
+    rank = np.empty_like(starts)
+    rank[np.argsort(starts)] = np.arange(starts.size)
+    which = np.empty_like(order)
+    which[order] = rank[np.cumsum(first) - 1]
+    maps = tuple(per_source[i] for i in np.sort(starts).tolist())
+    if any(m.cols != k for m in maps):
         s, m = next((s, m) for s, m in fcbi_map.items() if m.cols != k)
         raise ColumnMismatchError(f"FCBI for source {s} has {m.cols} columns, expected k={k}")
-    which = np.searchsorted(starts, which)
-    betas = np.array([m.classical_bound for m in distinct], dtype=float)[which]
-    opts = np.array([m.quantum_opt for m in distinct], dtype=float)[which]
+    betas = np.array([m.classical_bound for m in maps], dtype=float)[which]
+    opts = np.array([m.quantum_opt for m in maps], dtype=float)[which]
     return NetworkInequality(
         topology=topology,
         leaves=leaves,
         k=k,
-        fcbi_map=dict(fcbi_map),
+        maps=maps,
+        map_sources=sources,
+        map_index=which,
         classical_bound=_geomean(betas, leaves.l),
         quantum_bound=_geomean(opts, leaves.l),
     )
+
+
+def _key_list(fcbi_map) -> list:
+    """The keys of fcbi_map, sorted where they compare, else as given."""
+    try:
+        return sorted(fcbi_map)
+    except TypeError:
+        return list(fcbi_map)
 
 
 def mixed_state_bound(
@@ -175,7 +219,7 @@ def mixed_state_bound(
     """
     maxima = {}
     factors = []
-    for s in sorted(ineq.leaves.peripheral_set):
+    for s in ineq.map_sources.tolist():
         m, rho = ineq.fcbi_map[s], states[s]
         key = (m.tag, m.entries.shape, m.entries.tobytes(), rho.corr.tobytes())
         if key not in maxima:

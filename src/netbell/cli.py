@@ -331,7 +331,7 @@ def cmd_build(config, args, opts):
             str(s): {"tag": m.tag, "rows": m.rows,
                      "classical_bound": _sig(m.classical_bound),
                      "quantum_opt": _sig(m.quantum_opt)}
-            for s, m in sorted(ineq.fcbi_map.items())
+            for s, m in ineq.fcbi_map.items()
         },
     }
 

@@ -92,11 +92,18 @@ def _check_enumeration_cap(rows: int) -> None:
 
 
 def classical_bound(entries) -> float:
-    """Exact classical bound: max over A_x = +/-1 of sum_y |sum_x M[x,y] A_x|."""
+    """Exact classical bound: max over A_x = +/-1 of sum_y |sum_x M[x,y] A_x|.
+
+    The bound is the maximum of a^T M b over sign vectors a and b, so it is
+    the same for M and M^T: the signs of the smaller side are enumerated,
+    and the cap applies to that side.
+    """
     m = np.asarray(entries, dtype=float)
-    rows = m.shape[0]
     if m.size == 0:
         raise TooLargeError("coefficient matrix must be non-empty")
+    if m.shape[1] < m.shape[0]:
+        m = m.T
+    rows = m.shape[0]
     _check_enumeration_cap(rows)
     # Code c = low + (high << n_low): each value of the high bits shifts the
     # same table of low-row sums.

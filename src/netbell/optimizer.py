@@ -185,7 +185,7 @@ def discriminate(
     more than tol, BOUNDARY within tol of sqrt(2), NOT_FOUND otherwise. A
     NOT_FOUND is a search outcome, not a proof of impossibility.
     """
-    for m in ineq_target.fcbi_map.values():
+    for m in ineq_target.maps:
         if m.tag != CHSH:
             raise UnsupportedFcbiError(
                 "topology discrimination is defined for the two-input CHSH map"
@@ -454,6 +454,8 @@ def _oracle_random(
                 weights={s: weights[s][:, idx].copy() for s in sources},
                 responses={p: responses[p][..., idx].copy() for p in parties},
             )
+        # Freed before the next draw, so that only one chunk is ever alive.
+        del weights, responses, I, s_all
         done += n
     # A zero budget draws no model, so there is no value to report.
     return SearchReport(

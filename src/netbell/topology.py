@@ -55,6 +55,12 @@ class NetworkTopology:
             adj[int(b)].append((int(a), j))
         return adj
 
+    @functools.cached_property
+    def leaves(self) -> LeafAnalysis:
+        """The leaf analysis, built on first use and then shared; see
+        `find_leaves`."""
+        return _leaf_analysis(self)
+
     def incident_sources(self, party: int) -> list[int]:
         """Source indices attached to a party, in ascending order.
 
@@ -145,10 +151,13 @@ def build_topology(n_parties: int, edges) -> NetworkTopology:
 
     Validation costs one O(M log M) sort of int64 keys, one per source,
     O(N + M) passes for the range and degree checks, and a few O(N + M)
-    union-find passes for connectivity (see ``_count_components``). Each
-    source's smaller and larger endpoint are taken once, by an elementwise
-    min and max rather than a row sort; they give the self-loop check, the
-    duplicate key and the first union-find round. Peak memory, degrees and
+    union-find passes for connectivity (see ``_count_components``). These
+    stop at the round that leaves one root: on a tree whose parents precede
+    their children, or on an ordered chain, that is the first, a hooking
+    pass and about log2 of the depth pointer jumps. Each source's smaller
+    and larger endpoint are taken once, by an elementwise min and max rather
+    than a row sort; they give the self-loop check, the duplicate key and
+    the first union-find round. Peak memory, degrees and
     labels included, stays under five times the (M, 2) int64 edge array
     when N is about M. More than 2M parties always leaves one isolated; that
     case is refused from the endpoints alone, so time and memory never scale
@@ -220,17 +229,29 @@ def _count_components(n_parties: int, lo: np.ndarray, hi: np.ndarray) -> int:
     round hooks hi onto lo straight from the endpoint columns. A label never
     exceeds its index, so hooking creates no cycle, and every round with a
     live source removes at least one root.
+
+    A jump never raises a label, so the jumps stop when the sum of the
+    labels stops falling; it stays below 2**62 for every n_parties up to
+    MAX_PARTIES. Party 1 is always a root, so a round that leaves one root
+    leaves every label of parties 1..n_parties at 1, and their sum at
+    n_parties: a connected input returns then, without gathering the
+    endpoint labels of its sources again. Otherwise the rounds run until no
+    source is live, and the roots are counted.
     """
     label = np.arange(n_parties + 1)
     a, b = lo, hi
     top, low = hi, lo
     while True:
         np.minimum.at(label, top, low)
+        total = label.sum()
         while True:
             jumped = label[label]
-            if np.array_equal(jumped, label):
+            jumped_total = jumped.sum()
+            if jumped_total == total:
                 break
-            label = jumped
+            label, total = jumped, jumped_total
+        if total == n_parties:
+            return 1
         la, lb = label[a], label[b]
         live = la != lb
         if not live.any():
@@ -241,7 +262,16 @@ def _count_components(n_parties: int, lo: np.ndarray, hi: np.ndarray) -> int:
 
 
 def find_leaves(topology: NetworkTopology) -> LeafAnalysis:
-    """Identify leaf parties and their peripheral sources in O(N + M)."""
+    """Identify leaf parties and their peripheral sources in O(N + M).
+
+    The analysis is built once per topology and kept on it, as `adjacency`
+    is: every later call, `build_inequality`'s included, returns the same
+    object, so callers must not mutate its arrays.
+    """
+    return topology.leaves
+
+
+def _leaf_analysis(topology: NetworkTopology) -> LeafAnalysis:
     degrees = topology.degrees
     leaves = np.flatnonzero(degrees == 1) + 1
     intermediates = np.flatnonzero(degrees != 1) + 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netbell import builder
+from netbell import builder, topology
 from netbell.analysis import uniform_werner_bound
 from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
@@ -54,6 +54,90 @@ def test_rejects_wrong_fcbi_cover(six_party):
         build_inequality(
             six_party, 2, {s: make_catalog(CHSH) for s in (1, 2, 3, 5)}
         )
+
+
+def test_fcbi_key_rules(six_party):
+    """Keys that equal a peripheral source as Python numbers are accepted:
+    int, np.int64, True for source 1, 5.0. 3.5 is refused with the sorted
+    keys in the message, and a str or None key, which do not sort among the
+    numbers, with MissingFcbiError too, naming the keys as given."""
+    c = make_catalog(CHSH)
+    for fcbi in ({1: c, 3: c, 5: c}, {np.int64(1): c, np.int64(3): c, 5: c},
+                 {True: c, 3: c, 5: c}, {1: c, 3: c, 5.0: c}):
+        ineq = build_inequality(six_party, 2, fcbi)
+        assert dict(ineq.fcbi_map) == {1: c, 3: c, 5: c}
+        assert ineq.classical_bound == 1.0
+    with pytest.raises(
+        MissingFcbiError,
+        match=r"^fcbi_map must cover exactly the peripheral sources \[1, 3, 5\], got \[1, 3\.5, 5\]$",
+    ):
+        build_inequality(six_party, 2, {1: c, 3.5: c, 5: c})
+    for key in ("3", None):
+        with pytest.raises(MissingFcbiError, match=rf"got \[1, {key!r}, 5\]$"):
+            build_inequality(six_party, 2, {1: c, key: c, 5: c})
+        with pytest.raises(MissingFcbiError, match=rf"got \[1, 3, 5, {key!r}\]$"):
+            build_inequality(six_party, 2, {1: c, 3: c, 5: c, key: c})
+
+
+def test_leaf_analysis_runs_once(monkeypatch):
+    """The topology keeps its leaf analysis: find_leaves returns the same
+    object on every call, and build_inequality reads it rather than running
+    the analysis again."""
+    calls = []
+    analyze = topology._leaf_analysis
+
+    def counting(topo):
+        calls.append(topo)
+        return analyze(topo)
+
+    monkeypatch.setattr(topology, "_leaf_analysis", counting)
+    topo = build_topology(6, [(1, 2), (2, 4), (3, 4), (4, 6), (4, 5), (2, 6)])
+    leaves = topology.find_leaves(topo)
+    assert topology.find_leaves(topo) is leaves
+    ineq = build_inequality(topo, 2, {s: make_catalog(CHSH) for s in (1, 3, 5)})
+    assert ineq.leaves is leaves
+    assert len(calls) == 1
+
+    fresh = build_topology(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    ineq = build_inequality(fresh, 2, {s: make_catalog(CHSH) for s in (1, 3, 4)})
+    assert ineq.leaves is topology.find_leaves(fresh)
+    assert len(calls) == 2
+
+
+def test_fcbi_map_is_a_read_only_snapshot(six_party):
+    """The inequality holds the maps as they were at build time: its
+    fcbi_map refuses assignment, and a later change to the caller's dict
+    does not reach it."""
+    chsh, wide = make_catalog(CHSH), make_catalog(CHAINED, 3)
+    fcbi = {5: chsh, 1: chsh, 3: chsh}
+    ineq = build_inequality(six_party, 2, fcbi)
+    with pytest.raises(TypeError):
+        ineq.fcbi_map[1] = wide
+    with pytest.raises(AttributeError):
+        ineq.fcbi_map = {}
+    fcbi[1] = wide
+    del fcbi[3]
+    assert list(ineq.fcbi_map.items()) == [(1, chsh), (3, chsh), (5, chsh)]
+    assert ineq.leaf_fcbi(1) is chsh
+    assert ineq.maps == (chsh,)
+    assert ineq.map_sources.tolist() == [1, 3, 5]
+    assert ineq.map_index.tolist() == [0, 0, 0]
+    assert "map_index" not in repr(ineq) and "map_sources" not in repr(ineq)
+
+
+def test_maps_follow_their_first_sources(six_party):
+    """Each distinct map object is held once, in the order of the first
+    source that carries it, whatever order the objects were made in; an
+    equal but distinct object counts as its own map."""
+    later, earlier = make_catalog(CHSH), make_catalog(CHSH)
+    for fcbi in ({5: earlier, 1: later, 3: earlier}, {3: earlier, 5: earlier, 1: later}):
+        ineq = build_inequality(six_party, 2, fcbi)
+        assert ineq.maps[0] is later and ineq.maps[1] is earlier
+        assert ineq.map_index.tolist() == [0, 1, 1]
+        assert [ineq.fcbi_map[s] is fcbi[s] for s in (1, 3, 5)] == [True] * 3
+    ineq = build_inequality(six_party, 2, {1: earlier, 3: later, 5: earlier})
+    assert [m is earlier for m in ineq.maps] == [True, False]
+    assert ineq.map_index.tolist() == [0, 1, 0]
 
 
 def test_rejects_column_mismatch(six_party):

@@ -80,8 +80,35 @@ def test_bad_catalog_params():
 
 
 def test_classical_bound_cap():
+    """The cap applies to the smaller side: 25 x 25 is refused, and a 30 x 2
+    map, whose two columns are enumerated, is accepted as a custom map."""
     with pytest.raises(TooLargeError):
-        classical_bound(np.ones((25, 2)))
+        classical_bound(np.ones((25, 25)))
+    assert classical_bound(np.ones((30, 2))) == 60.0
+    m = custom_matrix(np.ones((30, 2)), restarts=2)
+    assert (m.rows, m.cols, m.classical_bound) == (30, 2, 60.0)
+
+
+def _row_enumeration(m):
+    """max over row signs a of sum_y |sum_x M[x,y] a_x|, the rows' 2^rows
+    codes taken in blocks of 2^16."""
+    rows = m.shape[0]
+    low = min(rows, 16)
+    low_sums = fcbi.sign_table(low, np.arange(2**low)) @ m[:low]
+    return max(
+        np.abs(low_sums + fcbi.sign_table(rows - low, high) @ m[low:]).sum(axis=1).max()
+        for high in range(2 ** (rows - low))
+    )
+
+
+@pytest.mark.parametrize("shape", [(20, 2), (24, 3), (16, 4)])
+def test_classical_bound_is_transpose_symmetric(shape):
+    """beta(M) enumerates the column signs of a tall map; it equals beta(M^T)
+    and the enumeration over the 2^rows row signs to 1e-12."""
+    m = np.random.default_rng(sum(shape)).normal(size=shape)
+    beta = classical_bound(m)
+    assert beta == pytest.approx(classical_bound(m.T), rel=0, abs=1e-12)
+    assert beta == pytest.approx(_row_enumeration(m), rel=0, abs=1e-12)
 
 
 @pytest.mark.memory

@@ -633,9 +633,10 @@ def test_model_draws_follow_numpy_streams_odd_last_chunk(monkeypatch):
 @pytest.mark.memory
 def test_oracle_random_memory():
     """The oracle's memory does not grow with its budget: 100 chunks and a
-    17-model tail on six_party_asymmetric peak within 1.5 times the traced
-    peak of a single chunk, and within 20% of the 10.2 MiB that drawing
-    each chunk's signs through rng.integers peaked at."""
+    17-model tail on six_party_asymmetric peak within 1.1 times the traced
+    peak of a single chunk, since each chunk is freed before the next is
+    drawn, and within 20% of the 10.2 MiB that drawing each chunk's signs
+    through rng.integers peaked at."""
     ineq = _asymmetric()
     peaks = []
     for budget in (4096, 100 * 4096 + 17):
@@ -645,7 +646,7 @@ def test_oracle_random_memory():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    assert peaks[1] <= 1.1 * peaks[0], peaks
     assert peaks[1] <= 1.2 * 10.2 * 2**20, peaks
 
 

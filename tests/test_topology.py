@@ -235,6 +235,77 @@ def test_component_count_matches_bfs(pairs):
         build_topology(n, edges)
 
 
+def _check_component_count(n, edges):
+    n_comp = _bfs_components(n, edges)
+    if n_comp == 1:
+        assert build_topology(n, edges).n_sources == len(edges)
+    else:
+        with pytest.raises(
+            DisconnectedError, match=f"^network has {n_comp} connected components$"
+        ):
+            build_topology(n, edges)
+    return n_comp
+
+
+def _roots_after_first_round(n, edges):
+    """Roots left by one min-label hooking round: every party hooks onto
+    the smallest neighbour below it, and the labels are followed to a root."""
+    label = list(range(n + 1))
+    for a, b in edges:
+        lo, hi = min(a, b), max(a, b)
+        label[hi] = min(label[hi], lo)
+
+    def root(p):
+        while label[p] != p:
+            p = label[p]
+        return p
+
+    return len({root(p) for p in range(1, n + 1)})
+
+
+# Inputs on which the first hooking round leaves more roots than there are
+# components, so that union-find needs a second round: a chain visiting
+# 2, 4, 1, 3, alone and beside a three-party star centred on 7.
+_SEVERAL_ROOTS = [
+    (4, [(2, 4), (1, 4), (1, 3)], 1),
+    (7, [(2, 4), (1, 4), (1, 3), (5, 7), (6, 7)], 2),
+    (9, [(2, 4), (1, 4), (1, 3), (5, 7), (6, 7), (8, 9)], 3),
+]
+
+
+@pytest.mark.parametrize("n, edges, components", _SEVERAL_ROOTS)
+def test_component_count_after_several_rounds(n, edges, components):
+    assert _roots_after_first_round(n, edges) > components
+    assert _check_component_count(n, edges) == components
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_forest_component_count_matches_bfs(components, seed):
+    """A random forest of 1-6 trees, 2-8 parties each, numbered in a random
+    order and with a few extra edges inside its trees, listed in a random
+    order: a single tree builds, and a forest's error names the count a BFS
+    finds. The random numbering makes the first hooking round leave several
+    roots in most trees."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 9, components)
+    n = int(sizes.sum())
+    parties = rng.permutation(n) + 1
+    edges = set()
+    start = 0
+    for size in sizes:
+        tree = parties[start:start + size].tolist()
+        start += size
+        for i in range(1, size):
+            edges.add(frozenset((tree[int(rng.integers(0, i))], tree[i])))
+        for _ in range(int(rng.integers(0, 3))):
+            a, b = rng.choice(tree, 2, replace=False).tolist()
+            edges.add(frozenset((a, b)))
+    edges = [tuple(rng.permutation(sorted(e)).tolist()) for e in edges]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    assert _check_component_count(n, edges) == components
+
+
 def _random_tree_edges(n, rng):
     # Attach each new node to a uniformly random earlier node.
     parents = rng.integers(1, np.arange(2, n + 1))
