@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import NetworkInequality, mixed_state_bound
+from .builder import NetworkInequality, _geomean, mixed_state_bound
 from .errors import NegativeEntryError, UnsupportedFcbiError
 from .evaluator import (
     MeasurementStrategy,
@@ -148,9 +148,9 @@ def mahler_check(X) -> dict:
     """Check the product-form inequality for a non-negative matrix.
 
     lhs = sum_j (prod_i x_ji)^(1/q) and rhs = prod_i (sum_j x_ji)^(1/q)
-    with q the number of columns; lhs never exceeds rhs, with equality
-    exactly when X has rank one or a zero column (`evaluator._product_form`,
-    which `check_conditions` asks too).
+    with q the number of columns, rooted in log space (`builder._geomean`);
+    lhs never exceeds rhs, with equality exactly when X has rank one or a
+    zero column (`evaluator._product_form`, which `check_conditions` asks too).
 
     Returns:
         dict with keys holds, lhs, rhs, equality.
@@ -161,8 +161,8 @@ def mahler_check(X) -> dict:
     if np.any(X < 0):
         raise NegativeEntryError("matrix entries must be non-negative")
     q = X.shape[1]
-    lhs = float(np.sum(np.prod(X, axis=1) ** (1.0 / q)))
-    rhs = float(np.prod(np.sum(X, axis=0) ** (1.0 / q)))
+    lhs = float(_geomean(X, q, axis=1).sum())
+    rhs = float(_geomean(X.sum(axis=0), q))
     _, rank1, zero_column = _product_form(X)
     return {
         "holds": lhs <= rhs + 1e-12,

@@ -28,7 +28,7 @@ from .qstate import TwoQubitState
 from .topology import LeafAnalysis, NetworkTopology, find_leaves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkInequality:
     """Built inequality: topology, leaf analysis, k, per-source FCBIs, bounds.
 
@@ -41,7 +41,7 @@ class NetworkInequality:
     distinct map object once, in the order of the first source that carries
     it, and `map_index` numbers, per source, its map in `maps`. `fcbi_map`
     is the read-only source -> map view of them. The two arrays stay out of
-    `==` and `repr`.
+    `repr`.
 
     What depends on the inequality alone is derived on first use and kept
     on the instance, as `NetworkTopology.adjacency` is, and never a state:
@@ -54,11 +54,11 @@ class NetworkInequality:
     leaves: LeafAnalysis
     k: int
     maps: tuple[CoefficientMatrix, ...]
-    map_sources: np.ndarray = field(compare=False, repr=False)
-    map_index: np.ndarray = field(compare=False, repr=False)
+    map_sources: np.ndarray = field(repr=False)
+    map_index: np.ndarray = field(repr=False)
     classical_bound: float
     quantum_bound: float
-    _objective: object = field(default=None, init=False, compare=False, repr=False)
+    _objective: object = field(default=None, init=False, repr=False)
 
     @functools.cached_property
     def fcbi_map(self) -> Mapping[int, CoefficientMatrix]:
@@ -107,12 +107,14 @@ class NetworkInequality:
         }
 
 
-def _geomean(values, l: int) -> float:
-    vals = np.asarray(values, dtype=float)
-    if (vals <= 0.0).any():
-        return 0.0
-    # exp(log-sum / l) keeps the l-th root stable for large l
-    return float(np.exp(np.log(vals).sum() / l))
+def _geomean(values, l: int, axis=None):
+    """exp(sum log|values| / l), the l-th root of the product of |values|
+    along `axis` (all by default), without forming it; zeros give 0. numpy
+    sums pairwise along a contiguous axis, so the error does not grow there."""
+    x = np.abs(values, dtype=float)
+    with np.errstate(divide="ignore"):
+        np.log(x, out=x)
+    return np.exp(x.sum(axis=axis) / l)
 
 
 def build_inequality(
@@ -190,8 +192,8 @@ def build_inequality(
         maps=maps,
         map_sources=sources,
         map_index=which,
-        classical_bound=_geomean(betas, leaves.l),
-        quantum_bound=_geomean(opts, leaves.l),
+        classical_bound=float(_geomean(betas, leaves.l)),
+        quantum_bound=float(_geomean(opts, leaves.l)),
     )
 
 
@@ -227,4 +229,4 @@ def mixed_state_bound(
         factors.append(maxima[key])
     for u in ineq.intermediate_sources():
         factors.append(states[u].t0)
-    return _geomean(factors, ineq.l)
+    return float(_geomean(factors, ineq.l))

@@ -1,15 +1,15 @@
 """Measurement strategies and the network contraction.
 
-For traceless qubit observables on a product of two-qubit states, every
-column correlator I_j is a tensor-network contraction of the per-source
-correlation matrices. `contract` runs every contraction in the package,
-the local-model oracle's too, as a greedy path planned once per labels and
-shapes. In `_CrossObjective` each source s enters as U_a T_s U_b^T of
-its two endpoints' Bloch rows. An endpoint is of one of two kinds: a
-column endpoint has one row per column j (an intermediate party's input
-j, or the Delta vector d_j of a leaf with one host source); a lettered
-leaf, one with several host sources, has one row per input and a label
-of its own.
+For traceless qubit observables on a product of two-qubit states, each
+source s enters `_CrossObjective` as U_a T_s U_b^T of its two endpoints'
+Bloch rows. An endpoint is of one of two kinds: a column endpoint has one
+row per column j (an intermediate party's input j, or the Delta vector d_j
+of a leaf with one host source); a lettered leaf, one with several host
+sources, has one row per input and a label of its own. The column
+correlator I_j is the product of the k-vectors of the sources between
+column endpoints and of one contraction of the rest, which `contract`
+plans, as it does the oracles'; the own network has no lettered leaf and
+plans nothing. S roots these factors in log space (`builder._geomean`).
 
 A `_CrossObjective` holds only what depends on its (target, host) pair:
 endpoints, their Delta maps and labels, leaf weights, input counts, the
@@ -37,12 +37,13 @@ and operators only, none of the Bloch data the engine contracts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import NetworkInequality
+from .builder import NetworkInequality, _geomean
 from .errors import (
     IncompleteStrategyError,
     PartyCountMismatchError,
@@ -54,7 +55,7 @@ from .qstate import TwoQubitState, bloch_matrix
 from .topology import NetworkTopology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitObservable:
     """Traceless dichotomic qubit observable n . sigma with unit Bloch vector."""
 
@@ -100,7 +101,7 @@ class MeasurementStrategy:
         self.slots[(party, inp, source)] = obs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationResult:
     """Evaluated correlators and the nonlinear combination S."""
 
@@ -110,7 +111,7 @@ class EvaluationResult:
     quantum_saturation: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Saturation diagnostics for a strategy on given states.
 
@@ -233,7 +234,7 @@ class _CrossObjective:
 
     Everything held here depends on (target, host) alone and is built once:
     endpoints, their Delta maps and labels, leaf weights, input counts, slot
-    keys and, on the first `columns` call, the contraction plan. No state is
+    keys and, with lettered leaves, the contraction plan. No state is
     held: states enter each call as corrs, the list of their correlation
     matrices T_i in host source order (`corrs`).
 
@@ -253,11 +254,11 @@ class _CrossObjective:
       one row per input; its weights M_p[x, j] are an operand of their own.
     Source i enters the contraction as its operand R_i = U_a T_i U_b^T,
     labelled by its two endpoints; between two column endpoints only the
-    diagonal, the k-vector of row-wise dots, is formed. `columns` contracts
-    the R_i and the lettered leaves' weights along a planned path. Every
-    I_j is linear in each endpoint's rows, and the Delta map is linear, so
-    the block coefficients of an endpoint are the same contraction
-    evaluated at unit rows.
+    diagonal, the k-vector of row-wise dots, is formed: a column factor.
+    `column_factors` adds one contraction of the other R_i and the lettered
+    leaves' weights, on a planned path, and `columns` is their product.
+    I_j is linear in each endpoint's rows, as the Delta map is, so an
+    endpoint's block coefficients are that product at unit rows.
 
     Every array may carry leading batch axes, one strategy per leading
     index: rows of shape (..., slots, 3) give operands and columns of
@@ -289,7 +290,7 @@ class _CrossObjective:
             )
         label = {p: n for n, p in enumerate(lettered, start=1)}
         self._weights = [(leaf_weights[p], [label[p], 0]) for p in lettered]
-        self._path = None  # contract's plan for `columns`, taken on its first call
+        self._path = None  # contract's plan for the lettered core, taken once
 
         # Every other leaf has one host source and is a column endpoint
         # through its Delta map M^T.
@@ -297,7 +298,8 @@ class _CrossObjective:
         self.ends = [tuple(e) for e in host.edges.tolist()]
         self._deltas = [(delta.get(a), delta.get(b)) for a, b in self.ends]
         axes = [(label.get(a, 0), label.get(b, 0)) for a, b in self.ends]
-        self._labels = [[..., *ab] if any(ab) else [..., 0] for ab in axes]
+        self._labels = [[..., *ab] for ab in axes]
+        self._core = [any(ab) for ab in axes]  # R_i joins the lettered core
 
         # Endpoint (i, side) owns the slot keys, and so the rows on axis -2,
         # that spans[i][side] selects.
@@ -343,7 +345,7 @@ class _CrossObjective:
         column endpoints only the diagonal is formed, as the row-wise dot
         sum_c (U_a T_i)[j, c] U_b[j, c], one (1, 3) by (3, 1) product per j."""
         a, b = (u if d is None else d @ u for u, d in zip(ends, self._deltas[i]))
-        if self._labels[i] == [..., 0]:
+        if not self._core[i]:
             return ((a @ corr)[..., None, :] @ b[..., None])[..., 0, 0]
         return a @ corr @ b.swapaxes(-1, -2)
 
@@ -354,23 +356,29 @@ class _CrossObjective:
     def factors(self, rows: np.ndarray, corrs) -> list[np.ndarray]:
         return [self.factor(rows, corrs, i) for i in range(len(self.ends))]
 
-    def columns(self, factors) -> np.ndarray:
-        """All k column correlators I_j.
+    def column_factors(self, factors) -> list[np.ndarray]:
+        """Arrays (..., k) whose product is I: each R_i between column
+        endpoints and, with lettered leaves, one contraction of the other R_i
+        and the weights, on the plan taken at the first call."""
+        cols = [f for f, c in zip(factors, self._core) if not c]
+        if self._weights:
+            core = [*itertools.compress(zip(factors, self._labels), self._core), *self._weights]
+            if self._path is None:
+                self._path = _planned(core, [..., 0])
+            cols.append(_run(self._path, [f for f, _ in core]))
+        return cols
 
-        The operands' non-batch shapes are fixed by (target, host), so the
-        plan `contract` would look up is taken once, on the first call.
-        """
-        if self._path is None:
-            self._path = _planned([*zip(factors, self._labels), *self._weights], [..., 0])
-        return _run(self._path, [*factors, *(w for w, _ in self._weights)])
+    def columns(self, cols) -> np.ndarray:
+        """All k column correlators I_j, the product of the column factors."""
+        return functools.reduce(np.multiply, cols)
 
     def value(self, factors) -> np.ndarray:
-        """S of the columns of these factors, one value per leading index."""
-        return self.combine(self.columns(factors))
+        """S of these factors, one value per leading index."""
+        return self.combine(self.column_factors(factors))
 
-    def combine(self, columns) -> np.ndarray:
-        """S = sum_j |I_j|^(1/l), one value per leading index."""
-        return np.sum(np.abs(columns) ** (1.0 / self.l), axis=-1)
+    def combine(self, cols) -> np.ndarray:
+        """S of the column factors by `_geomean`, one value per leading index."""
+        return _geomean(np.stack(cols, axis=-1), self.l, axis=-1).sum(axis=-1)
 
     def block_coeffs(self, rows: np.ndarray, corrs, factors, i: int, side: int) -> np.ndarray:
         """H with I_j = sum_x H[..., x, j] . U[..., x] for the rows U of
@@ -378,14 +386,15 @@ class _CrossObjective:
 
         Every I_j is linear in U, so H[x, j, c] is I_j with U replaced by the
         unit rows e_(x, c). The 3 * inputs unit rows ride on a new axis ahead
-        of the batch axes, and `columns` contracts them all at once; H does
+        of the batch axes, and one product takes them all at once; H does
         not depend on U or on factors[i].
         """
         ends = [rows[span] for span in self.spans[i]]
         n = ends[side].shape[-2]
         ends[side] = np.eye(3 * n).reshape((3 * n,) + (1,) * (rows.ndim - 2) + (n, 3))
         unit = self._source_operand(ends, corrs[i], i)
-        cols = self.columns([unit if t == i else f for t, f in enumerate(factors)])
+        factors = [unit if t == i else f for t, f in enumerate(factors)]
+        cols = self.columns(self.column_factors(factors))
         h = np.moveaxis(cols, 0, -2).reshape(cols.shape[1:-1] + (n, 3, self.k))
         return h.swapaxes(-1, -2)
 
@@ -453,21 +462,21 @@ def evaluate_S(
     tol: float = 1e-9,
     method: str = "factorized",
 ) -> EvaluationResult:
-    """Evaluate all columns and assemble S = sum_j |I_j|^(1/l)."""
+    """Evaluate all columns and S = sum_j |I_j|^(1/l) from the column factors."""
     obj = _own_objective(ineq)
     rows = obj.gather(strategy)
     if method == "factorized":
-        I = obj.columns(obj.factors(rows, obj.corrs(states)))
+        cols = obj.column_factors(obj.factors(rows, obj.corrs(states)))
     elif method == "tensor":
-        I = np.array([
+        cols = [np.array([
             column_correlator_tensor(ineq, states, strategy, j)
             for j in range(1, ineq.k + 1)
-        ])
+        ])]
     else:
         raise ValueError(f"unknown evaluation method {method!r}")
-    S = float(obj.combine(I))
+    S = float(obj.combine(cols))
     return EvaluationResult(
-        I=I,
+        I=obj.columns(cols),
         S=S,
         classical_violation=S > ineq.classical_bound + tol,
         quantum_saturation=abs(S - ineq.quantum_bound) <= tol,

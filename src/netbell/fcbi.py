@@ -40,7 +40,7 @@ _EQUAL_SPECTRUM_RTOL = 1e-12
 _ZERO_SPECTRUM_ATOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
     """FCBI coefficient matrix with its two bounds.
 
@@ -431,7 +431,7 @@ def state_max(
     return val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SosWitness:
     """Column-norm certificate for a strategy on a state.
 

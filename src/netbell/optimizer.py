@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import NetworkInequality
+from .builder import NetworkInequality, _geomean
 from .errors import TooLargeForExhaustiveError, UnsupportedFcbiError
 from .evaluator import (
     MeasurementStrategy, _CrossObjective, _own_objective, contract, input_counts_for,
@@ -71,7 +71,7 @@ class SearchReport:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalModel:
     """Source-local hidden-variable model.
 
@@ -259,8 +259,8 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
             f"2^{leaf_bits} deterministic leaf assignments exceed the cap"
         )
     # Each leaf's Delta row for each of its codes; a leaf assignment's
-    # columns are their product. Codes run in blocks of 2^SIGN_BLOCK_BITS,
-    # the last leaf's fastest, and the first maximum in that order is kept.
+    # columns are their product, rooted by `_geomean`. Codes run in blocks of
+    # 2^SIGN_BLOCK_BITS, the last leaf's fastest; the first maximum is kept.
     def blocks(n):
         step = 2**SIGN_BLOCK_BITS
         return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
@@ -273,10 +273,8 @@ def _oracle_exhaustive(ineq: NetworkInequality) -> SearchReport:
     shape = [len(t) for t in tables]
     best_value, best_idx = -np.inf, 0
     for c in blocks(2**leaf_bits):
-        prod = np.ones((len(c), ineq.k))
-        for table, code in zip(tables, np.unravel_index(c, shape)):
-            prod *= table[code]
-        s_block = (np.abs(prod) ** (1.0 / ineq.l)).sum(axis=1)
+        rows = [table[code] for table, code in zip(tables, np.unravel_index(c, shape))]
+        s_block = _geomean(np.stack(rows, axis=-1), ineq.l, axis=-1).sum(axis=1)
         i = int(np.argmax(s_block))
         if s_block[i] > best_value:
             best_value, best_idx = float(s_block[i]), int(c[i])

@@ -38,7 +38,7 @@ def bloch_matrix(n) -> np.ndarray:
     return n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """4x4 density matrix with its Pauli-basis decomposition.
 

@@ -28,7 +28,7 @@ from .errors import (
 MAX_PARTIES = math.isqrt(2**63 - 1) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
     """Validated network graph.
 
@@ -74,7 +74,7 @@ class NetworkTopology:
         return int(a), int(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafAnalysis:
     """Leaf structure of a topology.
 

@@ -132,6 +132,14 @@ def test_mahler_zero_column_equality():
     assert res["equality"] and res["lhs"] == 0.0 and res["rhs"] == 0.0
 
 
+def test_mahler_roots_long_products_in_log_space():
+    """Each row's product of 1,100 halves underflows to 0.0; its root does not."""
+    res = mahler_check(np.full((2, 1100), 0.5))
+    assert res["lhs"] == pytest.approx(1.0, abs=1e-12)
+    assert res["rhs"] == pytest.approx(1.0, abs=1e-12)
+    assert res["holds"] and res["equality"]
+
+
 def test_mahler_rejects_negative():
     with pytest.raises(NegativeEntryError):
         mahler_check([[1.0, -0.1]])

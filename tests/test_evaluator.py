@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netbell.builder import build_inequality
+from netbell.builder import build_inequality, mixed_state_bound
 from netbell.errors import (
     IncompleteStrategyError,
     TooLargeForExhaustiveError,
@@ -20,9 +20,9 @@ from netbell.evaluator import (
     input_counts_for,
     optimal_strategy,
 )
-from netbell.fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog
+from netbell.fcbi import CHAINED, CHSH, EBI, custom_matrix, make_catalog, sos_witness
 from netbell.networks import chain_topology, chsh_inequality
-from netbell.optimizer import cross_evaluate, seesaw_network
+from netbell.optimizer import classical_oracle, cross_evaluate, seesaw_network
 from netbell.qstate import (
     WernerSpec,
     classical_zz,
@@ -383,6 +383,25 @@ def test_many_leaf_star_matches_correlator():
     np.testing.assert_allclose(I, expected, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("leaves", [2121, 2135, 2149, 2200])
+def test_star_S_does_not_underflow(leaves):
+    """Each column of a |Phi+> star is a product of l factors 1/sqrt(2),
+    subnormal from about 2,100 leaves and 0.0 past 2,150: S, rooted from
+    the column factors, stays sqrt(2) and never reads above it."""
+    ineq = _star(leaves)
+    states = dict.fromkeys(range(1, leaves + 1), max_entangled())
+    S = evaluate_S(ineq, states, optimal_strategy(ineq, states)).S
+    assert abs(S - np.sqrt(2.0)) <= 1e-12 and S <= np.sqrt(2.0)
+
+
+def test_werner_star_of_ten_thousand_leaves_reaches_the_mixed_bound():
+    leaves = 10_000
+    ineq = _star(leaves)
+    states = dict.fromkeys(range(1, leaves + 1), werner(WernerSpec(0.9)))
+    S = evaluate_S(ineq, states, optimal_strategy(ineq, states)).S
+    assert S == pytest.approx(mixed_state_bound(ineq, states), abs=1e-12)
+
+
 def test_seesaw_many_leaf_star():
     """A leaf with a single host source enters that source's operand through
     its Delta rows, so a 52-leaf star needs no einsum index of its own. From
@@ -468,3 +487,27 @@ def test_states_enter_per_call():
         cases.append((ineq, b, strategy))
     new = [_numbers(replace(ineq), b, strategy) for ineq, b, strategy in cases]
     assert [_numbers(ineq, b, strategy) for ineq, b, strategy in cases] == new
+
+
+def test_equality_never_raises(six_party):
+    """The package's types that hold arrays compare without raising: x == x
+    holds, and two equal but distinct values compare unequal by identity."""
+
+    def values():
+        topo = build_topology(6, six_party.edges.tolist())
+        ineq = chsh_inequality(topo)
+        states = {s: max_entangled() for s in range(1, 7)}
+        strategy = optimal_strategy(ineq, states)
+        chsh = custom_matrix(make_catalog(CHSH).entries, restarts=2)
+        rows = _catalog_leaf_vectors(make_catalog(CHSH))
+        return [
+            topo, find_leaves(topo), ineq, chsh, states[1],
+            QubitObservable(np.array([0.0, 0.0, 1.0])), strategy,
+            evaluate_S(ineq, states, strategy), check_conditions(ineq, states, strategy),
+            sos_witness(chsh, states[1], rows, rows), classical_oracle(ineq).best_config,
+        ]
+
+    for x, y in zip(values(), values()):
+        assert x is not y
+        assert x == x, type(x).__name__
+        assert (x == y) is False, type(x).__name__

@@ -446,6 +446,27 @@ def test_star_on_ring_matches_transfer_matrices(n):
 
 
 
+def test_only_lettered_leaves_are_planned(six_party, tree5, chain5, monkeypatch):
+    """The own network is a product of per-source k-vectors, so evaluate_S
+    and the see-saw plan no contraction; tree5 on chain5 has a lettered
+    leaf, and its search plans the lettered core once."""
+    einsum_path, calls = np.einsum_path, []
+
+    def planned(*args, **kwargs):
+        calls.append(args)
+        return einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", planned)
+    monkeypatch.setattr(evaluator, "_PLANS", {})
+    ineq = chsh_inequality(six_party)
+    states = {s: max_entangled() for s in range(1, 7)}
+    evaluate_S(ineq, states, optimal_strategy(ineq, states))
+    seesaw_network(ineq, states, restarts=2, seed=0)
+    assert len(calls) == 0
+    discriminate(chsh_inequality(tree5), chain5, states, restarts=4, seed=0)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["tree5", "six_party_asymmetric"])
 def test_local_columns_match_scalar_loop(name, monkeypatch):
     """The batched local-model contraction against the scalar loop, with
